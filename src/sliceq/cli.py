@@ -221,7 +221,7 @@ def cmd_markov(args) -> int:
     report = {
         "label": result["label"],
         "converged": result["converged"],
-        "iterations": result["iterations"],
+        "residual": result["residual"],
         "acceptance_rates": [float(x) for x in result["acceptance_rates"]],
         "u_sigma": result["u_sigma"],
         "top_states": [

@@ -846,8 +846,9 @@ def _aggregate(rows: list[dict]) -> dict:
 
 
 def _worker(args):
-    scenario, strategy, config, rep, single_queue = args
-    return run_replication(scenario, strategy, config, rep, single_queue=single_queue)
+    scenario, strategy, config, rep, single_queue, region = args
+    return run_replication(scenario, strategy, config, rep,
+                           region=region, single_queue=single_queue)
 
 
 def run_monte_carlo(scenario: Scenario, strategy: Strategy | None,
@@ -857,7 +858,7 @@ def run_monte_carlo(scenario: Scenario, strategy: Strategy | None,
     """Independent replications with per-replication derived seeds."""
     reps = range(config.replications)
     if threads > 1:
-        jobs = [(scenario, strategy, config, r, single_queue) for r in reps]
+        jobs = [(scenario, strategy, config, r, single_queue, region) for r in reps]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             runs = list(pool.map(_worker, jobs))
     else:

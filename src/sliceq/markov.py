@@ -2,11 +2,12 @@
 
 The transition matrix treats one decision epoch per step: from an admissible
 state the controller serves the first preferred type whose queue is
-non-empty, so the chance of moving along a preference column is a product of
-queue-empty probabilities. States outside the admissibility region hold a
-pure self-loop, which makes boundary states absorbing; results are therefore
-labelled an embedded-chain approximation, with the simulator as ground
-truth.
+non-empty and whose slice fits, so the chance of moving along a preference
+column is a product of queue-empty probabilities. Every move adds a slice,
+and states outside the admissibility region hold a pure self-loop, so the
+chain is absorbing: its long-run law is the absorption law, solved exactly
+with the fundamental matrix. Results are labelled an embedded-chain
+approximation, with the simulator as ground truth.
 """
 from __future__ import annotations
 
@@ -16,25 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse import linalg as sparse_linalg
 
 from .core import RegionIndex, Scenario, Strategy, naive_strategy, random_strategy
 from .engine import SimConfig, run_monte_carlo, substream
 from .errors import InvalidInputError
 from .queueing import QueueParams, TruncationConfig, DEFAULT_TRUNCATION, impatient_pmf
 
-DENSE_STATE_LIMIT = 20_000
 EXHAUSTIVE_COLUMN_LIMIT = 4096
+CONVERGED_RESIDUAL = 1e-9
 
 
 def build_transition_matrix(strategy: Strategy, region: RegionIndex,
-                            empty_probs) -> np.ndarray | sparse.csr_matrix:
-    """Per-epoch state transition probabilities under a strategy.
+                            empty_probs) -> sparse.csr_matrix:
+    """Per-epoch state transition probabilities under a strategy, as CSR.
 
     ``empty_probs[t]`` is the chance that queue t+1 is empty at a decision
-    epoch. Walking a preference column, the mass that reaches position i and
-    finds that queue non-empty moves along its slice increment; mass blocked
-    by infeasibility, by the reserve element or by running out of positions
-    stays put.
+    epoch. Walking a preference column, a type whose slice does not fit is
+    skipped, as the controller does; the mass that reaches a fitting type and
+    finds its queue non-empty moves along its slice increment. Mass left at
+    the reserve element or at the end of the column stays put.
     """
     p0 = np.asarray(empty_probs, dtype=float)
     if ((p0 < 0) | (p0 > 1)).any():
@@ -46,72 +49,99 @@ def build_transition_matrix(strategy: Strategy, region: RegionIndex,
 
     rows, cols, vals = [], [], []
     for j in range(n_states):
-        self_mass = 0.0
+        self_mass = 1.0
         if region.is_admissible_index(j):
-            column = strategy.column(j)
-            prefix = 1.0
-            for pref in column:
+            for pref in strategy.column(j):
                 if pref == 0:
                     break
-                move = prefix * (1.0 - p0[pref - 1])
                 target = region.next_feasible[j][pref - 1]
-                if target >= 0:
-                    if move > 0.0:
-                        rows.append(j)
-                        cols.append(target)
-                        vals.append(move)
-                else:
-                    self_mass += move
-                prefix *= p0[pref - 1]
-            self_mass += prefix
-        else:
-            self_mass = 1.0
+                if target < 0:
+                    continue
+                move = self_mass * (1.0 - p0[pref - 1])
+                if move > 0.0:
+                    rows.append(j)
+                    cols.append(target)
+                    vals.append(move)
+                self_mass *= p0[pref - 1]
         if self_mass > 0.0:
             rows.append(j)
             cols.append(j)
             vals.append(self_mass)
 
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
-    if n_states <= DENSE_STATE_LIMIT:
-        return mat.toarray()
-    return mat
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
 
 
 @dataclass
 class LongRunResult:
     distribution: np.ndarray
     converged: bool
-    iterations: int
+    residual: float
+    iterations: int = 1  # one direct solve
 
 
-def long_run_distribution(psi, p_init, tol: float = 1e-9,
-                          max_iters: int = 50_000) -> LongRunResult:
-    """Running average of the k-step distributions (handles periodic chains).
+def long_run_distribution(psi, p_init) -> LongRunResult:
+    """Long-run law of an absorbing chain, by one sparse direct solve.
 
-    Stops when successive averages differ by less than ``tol`` in L1, or at
-    ``max_iters`` with the convergence flag cleared.
+    A state is absorbing when its row has no off-diagonal mass. Dividing each
+    transient row's off-diagonal entries by their sum gives the jump chain
+    J, so no diagonal is formed as ``1 - (1 - eps)``. The expected visits m
+    to the transient states T solve m (I - J_TT) = p_init[T], and the law is
+    p_init on the absorbing states A plus m J_TA (Kemeny & Snell, Finite
+    Markov Chains). A chain with a transient state that cannot reach an
+    absorbing state has no such law and is refused.
+
+    ``residual`` is |sum(law) - 1| plus the largest absolute residual of the
+    solve; ``converged`` is ``residual <= 1e-9``.
     """
     p = np.asarray(p_init, dtype=float)
     if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or (p < 0).any():
         raise InvalidInputError("initial distribution must be a probability vector")
     n = p.shape[0]
-    dense = isinstance(psi, np.ndarray)
-    if dense and psi.shape != (n, n):
+    psi = sparse.csr_matrix(psi, dtype=float)
+    if psi.shape != (n, n):
         raise InvalidInputError("matrix/vector size mismatch")
-    rowsums = psi.sum(axis=1)
-    if np.abs(np.asarray(rowsums).ravel() - 1.0).max() > 1e-9:
+    if (psi.data < 0).any():
+        raise InvalidInputError("transition probabilities must be non-negative")
+    if np.abs(np.asarray(psi.sum(axis=1)).ravel() - 1.0).max(initial=0.0) > 1e-9:
         raise InvalidInputError("transition matrix rows must sum to one")
 
-    avg = p.copy()
-    vk = p.copy()
-    for k in range(1, max_iters + 1):
-        vk = vk @ psi
-        new_avg = (avg * k + vk) / (k + 1)
-        delta = np.abs(new_avg - avg).sum()
-        avg = new_avg
-        if delta < tol:
-            return LongRunResult(avg, True, k)
-    return LongRunResult(avg, False, max_iters)
+    off = (psi - sparse.diags(psi.diagonal())).tocsr()
+    off.eliminate_zeros()
+    absorbing = np.diff(off.indptr) == 0
+    trans = np.flatnonzero(~absorbing)
+    absb = np.flatnonzero(absorbing)
+
+    # reversed edges plus a sink (node n) with an edge to every absorbing
+    # state: a search from the sink finds the states that can reach absorption
+    edges = off.tocoo()
+    graph = sparse.csr_matrix(
+        (np.ones(edges.nnz + len(absb)),
+         (np.concatenate([edges.col, np.full(len(absb), n)]),
+          np.concatenate([edges.row, absb]))),
+        shape=(n + 1, n + 1))
+    reached = csgraph.breadth_first_order(graph, n, directed=True,
+                                          return_predecessors=False)
+    if len(reached) < n + 1:
+        raise InvalidInputError(
+            f"{n + 1 - len(reached)} transient states cannot reach an absorbing "
+            "state; the chain has no absorption law"
+        )
+
+    law = np.where(absorbing, p, 0.0)
+    residual = 0.0
+    if len(trans):
+        rows = off[trans]
+        exit_mass = np.asarray(rows.sum(axis=1)).ravel()
+        jump = sparse.csr_matrix(
+            (rows.data / np.repeat(exit_mass, np.diff(rows.indptr)),
+             rows.indices, rows.indptr), shape=rows.shape)
+        lhs = (sparse.identity(len(trans), format="csr") - jump[:, trans]).T.tocsc()
+        rhs = p[trans]
+        visits = sparse_linalg.spsolve(lhs, rhs)
+        residual = float(np.abs(lhs @ visits - rhs).max())
+        law[absb] += jump[:, absb].T @ visits
+    residual = float(residual + abs(law.sum() - 1.0))
+    return LongRunResult(law, bool(residual <= CONVERGED_RESIDUAL), residual)
 
 
 def estimate_acceptance_rates(long_run: np.ndarray, region: RegionIndex,
@@ -197,15 +227,15 @@ def bootstrap_service_rates(scenario: Scenario, strategy: Strategy,
 def analytic_evaluation(scenario: Scenario, strategy: Strategy,
                         region: RegionIndex, seed: int = 0,
                         fixed_point_rounds: int = 0,
-                        empty_probs=None,
-                        tol: float = 1e-8, max_iters: int = 5000) -> dict:
+                        empty_probs=None) -> dict:
     """Embedded-chain estimate of the strategy's long-run metrics.
 
     Queue-empty probabilities come from the stationary queue model fed with
     service rates measured in a short bootstrap run, unless given explicitly
     via ``empty_probs``. With ``fixed_point_rounds`` > 0 the service-rate
     guesses are refined by alternating the chain solve with the queue model
-    under damping 0.5.
+    under damping 0.5. ``converged`` and ``residual`` come from the last
+    chain solve.
     """
     eta = np.array([st.release_rate for st in scenario.slice_types])
     u = np.array([st.effective_utility_rate for st in scenario.slice_types])
@@ -214,7 +244,7 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
 
     if empty_probs is not None:
         psi = build_transition_matrix(strategy, region, empty_probs)
-        result = long_run_distribution(psi, p_init, tol=tol, max_iters=max_iters)
+        result = long_run_distribution(psi, p_init)
         mu_hat = estimate_acceptance_rates(result.distribution, region, eta)
     else:
         mu_hat = bootstrap_service_rates(scenario, strategy, region, seed)
@@ -222,8 +252,7 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
         for _ in range(max(1, fixed_point_rounds)):
             p0 = empty_probs_from_analytics(scenario, mu_hat)
             psi = build_transition_matrix(strategy, region, p0)
-            result = long_run_distribution(psi, p_init, tol=tol,
-                                           max_iters=max_iters)
+            result = long_run_distribution(psi, p_init)
             mu_next = estimate_acceptance_rates(result.distribution, region, eta)
             if fixed_point_rounds == 0:
                 mu_hat = mu_next
@@ -237,7 +266,7 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     return {
         "long_run": result.distribution,
         "converged": result.converged,
-        "iterations": result.iterations,
+        "residual": result.residual,
         "acceptance_rates": mu_hat,
         "u_sigma": metrics["u_sigma"],
         "label": "embedded-chain approximation",

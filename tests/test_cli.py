@@ -138,6 +138,9 @@ def test_markov_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["label"] == "embedded-chain approximation"
+    assert report["converged"] is True
+    assert 0.0 <= report["residual"] <= 1e-9
+    assert "iterations" not in report
     assert len(report["acceptance_rates"]) == 2
     assert len(report["top_states"]) == 10
 

@@ -13,6 +13,7 @@ from sliceq.core import (
     naive_strategy,
     tiny_scenario,
 )
+from sliceq import engine
 from sliceq.engine import (
     SimConfig,
     greedy_single_queue_baseline,
@@ -222,12 +223,20 @@ def test_monte_carlo_replications_differ_and_derive_from_master_seed():
     assert len({r["u_sigma"] for r in mc1.rows}) == 3
 
 
-def test_monte_carlo_worker_pool_matches_serial():
+def test_monte_carlo_worker_pool_matches_serial(monkeypatch):
     strat = naive_strategy(DEMO_REGION, [1, 2, 0])
     cfg = SimConfig(horizon=10.0, replications=2, master_seed=6, queue_cap=20)
     serial = run_monte_carlo(DEMO, strat, cfg, region=DEMO_REGION)
-    pooled = run_monte_carlo(DEMO, strat, cfg, threads=2)
-    assert [r["u_sigma"] for r in serial.rows] == [r["u_sigma"] for r in pooled.rows]
+    assert run_monte_carlo(DEMO, strat, cfg, threads=2).rows == serial.rows
+
+    # the workers must use the region they are given; forked workers inherit
+    # this patch, so enumerating the region again fails the run
+    def refuse(scenario):
+        raise AssertionError("worker enumerated the region again")
+
+    monkeypatch.setattr(engine, "enumerate_regions", refuse)
+    pooled = run_monte_carlo(DEMO, strat, cfg, threads=2, region=DEMO_REGION)
+    assert pooled.rows == serial.rows
 
 
 def test_standard_error_scales_with_replications():

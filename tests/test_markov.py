@@ -1,6 +1,13 @@
-"""Transition matrix construction, long-run averages and strategy search."""
+"""Transition matrix construction, absorption laws and strategy search."""
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from sliceq.core import (
     Scenario,
@@ -8,6 +15,7 @@ from sliceq.core import (
     demo_scenario,
     enumerate_regions,
     naive_strategy,
+    random_strategy,
 )
 from sliceq.engine import SimConfig, run_replication
 from sliceq.errors import InvalidInputError
@@ -50,10 +58,26 @@ def test_transition_row_example():
     assert psi[i, i] == pytest.approx(0.15)
 
 
+def test_transition_skips_type_that_does_not_fit():
+    # (19, 4) is admissible; a type-1 slice no longer fits there, a type-2
+    # one does, so the controller serves queue 2 whenever it is non-empty
+    region = enumerate_regions(demo_scenario())
+    i = region.feasible_index((19, 4))
+    assert region.is_admissible_index(i)
+    assert region.next_feasible[i][0] < 0
+    up2 = region.next_feasible[i][1]
+    assert region.state(up2) == (19, 5)
+    strat = naive_strategy(region, [1, 2, 0])
+    row = build_transition_matrix(strat, region, [0.3, 0.5])[[i]].toarray().ravel()
+    assert row[up2] == pytest.approx(0.5)
+    assert row[i] == pytest.approx(0.5)
+    assert row.sum() == pytest.approx(1.0)
+
+
 def test_transition_rows_stochastic():
     region = enumerate_regions(demo_scenario())
     strat = naive_strategy(region, [2, 1, 0])
-    psi = build_transition_matrix(strat, region, [0.25, 0.4])
+    psi = build_transition_matrix(strat, region, [0.25, 0.4]).toarray()
     assert np.allclose(psi.sum(axis=1), 1.0, atol=1e-12)
     assert (psi >= 0).all()
 
@@ -70,7 +94,7 @@ def test_transition_identity_when_queues_always_empty():
     region = enumerate_regions(demo_scenario())
     strat = naive_strategy(region, [1, 2, 0])
     psi = build_transition_matrix(strat, region, [1.0, 1.0])
-    assert np.allclose(psi, np.eye(region.n_feasible))
+    assert np.allclose(psi.toarray(), np.eye(region.n_feasible))
 
 
 def test_transition_rejects_bad_probabilities():
@@ -80,56 +104,92 @@ def test_transition_rejects_bad_probabilities():
         build_transition_matrix(strat, region, [1.2, 0.5])
 
 
+def fundamental_matrix_law(psi, p_init):
+    """Absorption law from the dense fundamental matrix N = (I - Q)^-1,
+    with absorbing states those whose self-loop is exactly one."""
+    psi = np.asarray(psi, dtype=float)
+    p = np.asarray(p_init, dtype=float)
+    absorbing = np.diag(psi) == 1.0
+    t, a = np.flatnonzero(~absorbing), np.flatnonzero(absorbing)
+    q, r = psi[np.ix_(t, t)], psi[np.ix_(t, a)]
+    visits = np.linalg.solve((np.eye(len(t)) - q).T, p[t])
+    law = np.where(absorbing, p, 0.0)
+    law[a] += visits @ r
+    return law
+
+
 def test_long_run_identity_returns_initial():
-    res = long_run_distribution(np.eye(3), np.array([0.2, 0.3, 0.5]),
-                                tol=1e-12, max_iters=50)
-    assert np.allclose(res.distribution, [0.2, 0.3, 0.5])
-    assert res.converged
-
-
-def test_long_run_periodic_chain():
-    psi = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = long_run_distribution(psi, np.array([1.0, 0.0]), tol=1e-9,
-                                max_iters=200_000)
-    assert np.allclose(res.distribution, [0.5, 0.5], atol=1e-4)
+    res = long_run_distribution(np.eye(3), np.array([0.2, 0.3, 0.5]))
+    assert np.array_equal(res.distribution, [0.2, 0.3, 0.5])
+    assert res.converged is True
+    assert res.iterations == 1
 
 
 def test_long_run_absorbing_chain():
     psi = np.array([[1.0, 0.0], [0.5, 0.5]])
-    res = long_run_distribution(psi, np.array([0.0, 1.0]), tol=1e-12,
-                                max_iters=100_000)
-    assert np.allclose(res.distribution, [1.0, 0.0], atol=1e-3)
+    res = long_run_distribution(psi, np.array([0.0, 1.0]))
+    assert np.allclose(res.distribution, [1.0, 0.0], atol=1e-15)
+    assert res.converged
 
 
-def test_long_run_flags_unconverged():
-    psi = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = long_run_distribution(psi, np.array([1.0, 0.0]), tol=1e-12,
-                                max_iters=100)
-    assert not res.converged
-    assert res.iterations == 100
+def test_long_run_absorbing_start_comes_back_unchanged():
+    psi = np.array([[0.2, 0.5, 0.3, 0.0],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [0.1, 0.0, 0.4, 0.5],
+                    [0.0, 0.0, 0.0, 1.0]])
+    for start in (1, 3):
+        p0 = np.eye(4)[start]
+        res = long_run_distribution(psi, p0)
+        assert np.array_equal(res.distribution, p0)
+        assert np.array_equal(res.distribution, fundamental_matrix_law(psi, p0))
+        assert res.converged and res.residual == 0.0
 
 
-def test_long_run_stable_beyond_convergence():
-    rng = np.random.default_rng(0)
-    psi = rng.random((5, 5))
-    psi /= psi.sum(axis=1, keepdims=True)
-    p0 = np.full(5, 0.2)
-    a = long_run_distribution(psi, p0, tol=1e-8, max_iters=50_000)
-    b = long_run_distribution(psi, p0, tol=1e-8, max_iters=100_000)
-    assert a.converged and b.converged
-    assert np.abs(a.distribution - b.distribution).sum() < 2e-8
+@st.composite
+def absorbing_chains(draw):
+    """A random chain (CSR) with at least one absorbing state that every
+    transient state can reach, and a random initial law."""
+    n = draw(st.integers(2, 12))
+    n_absorbing = draw(st.integers(1, n - 1))
+    weights = draw(hnp.arrays(float, (n, n), elements=st.one_of(
+        st.just(0.0), st.floats(0.01, 1.0))))
+    absorbing = draw(st.permutations(range(n)))[:n_absorbing]
+    weights[absorbing] = 0.0
+    weights[absorbing, absorbing] = 1.0
+    off = weights - np.diag(np.diag(weights))
+    reach = np.zeros(n, dtype=bool)
+    reach[absorbing] = True
+    for _ in range(n):
+        reach |= (off[:, reach] > 0).any(axis=1)
+    assume(reach.all())
+    psi = weights / weights.sum(axis=1, keepdims=True)
+    p_init = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    assume(p_init.sum() > 0.01)
+    return psi, p_init / p_init.sum()
 
 
-def test_long_run_accepts_sparse_matrix():
-    from scipy import sparse
-    psi = sparse.csr_matrix(np.array([[0.5, 0.5, 0.0],
-                                      [0.2, 0.3, 0.5],
-                                      [0.0, 0.4, 0.6]]))
-    res = long_run_distribution(psi, np.array([1.0, 0.0, 0.0]),
-                                tol=1e-8, max_iters=100_000)
-    pi = res.distribution
-    assert isinstance(pi, np.ndarray)
-    assert np.abs(np.asarray(pi @ psi).ravel() - pi).max() < 1e-4
+@settings(max_examples=200, deadline=None)
+@given(absorbing_chains())
+def test_long_run_matches_fundamental_matrix(chain):
+    psi, p_init = chain
+    res = long_run_distribution(sparse.csr_matrix(psi), p_init)
+    assert isinstance(res.distribution, np.ndarray)
+    assert np.abs(res.distribution - fundamental_matrix_law(psi, p_init)).max() < 1e-12
+    assert res.converged is True
+    assert 0.0 <= res.residual <= 1e-9
+
+
+def test_long_run_refuses_chains_without_absorption():
+    periodic = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InvalidInputError):
+        long_run_distribution(periodic, np.array([1.0, 0.0]))
+    # states 0 and 1 are transient but cycle between each other forever,
+    # although the chain has an absorbing state
+    closed_cycle = np.array([[0.5, 0.5, 0.0],
+                             [0.3, 0.7, 0.0],
+                             [0.2, 0.0, 0.8]])
+    with pytest.raises(InvalidInputError):
+        long_run_distribution(closed_cycle, np.array([0.0, 0.0, 1.0]))
 
 
 def test_long_run_validates_inputs():
@@ -216,6 +276,35 @@ def test_analytic_evaluation_runs_and_is_labelled():
     assert len(res["long_run"]) == region.n_feasible
     res_fp = analytic_evaluation(sc, strat, region, seed=1, fixed_point_rounds=3)
     assert res_fp["u_sigma"] >= 0.0
+
+
+def test_analytic_evaluation_stays_sparse_on_large_region():
+    # 7,293 states: a dense transition matrix would take about 425 MB
+    sc = Scenario(
+        resources=(1.0,),
+        slice_types=tuple(
+            SliceType(cost=(c,), arrival_rate=2.0, release_rate=0.5,
+                      waiting_cost_rate=1.0, profit_rate=4.0)
+            for c in (0.035, 0.03, 0.025)
+        ),
+    )
+    region = enumerate_regions(sc)
+    assert region.n_feasible >= 6000
+    strat = random_strategy(region, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        psi = build_transition_matrix(strat, region, [0.3, 0.4, 0.5])
+        res = analytic_evaluation(sc, strat, region, empty_probs=[0.3, 0.4, 0.5])
+        elapsed = time.perf_counter() - t0
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert psi.format == "csr"
+    assert res["converged"] is True
+    assert res["long_run"].sum() == pytest.approx(1.0, abs=1e-12)
+    assert elapsed < 10.0
+    assert peak_mb < 64.0
 
 
 def test_strategy_search_composition_and_determinism():
