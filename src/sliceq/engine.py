@@ -48,7 +48,8 @@ TAG_BALK = 71
 TAG_PATIENCE = 72
 
 # tenants treat the published service rate as unknown until this many
-# queued acceptances have been observed
+# queued acceptances have been observed, and the published renege rates
+# stay zero until this many reneges have been observed
 MIN_SERVICE_OBSERVATIONS = 10
 
 PATIENT = KnowledgeRegime("patient")
@@ -185,9 +186,6 @@ class _QueueStats:
         self.time_at_length: list[float] = [0.0]
         self.renege_counts: list[int] = [0]
         self.renege_total = 0
-        self.renege_version = 0
-        self._ew_cache_key = None
-        self._ew_cache = None
 
     def elapse(self, dt: float, length: int) -> None:
         if dt <= 0:
@@ -209,7 +207,6 @@ class _QueueStats:
             self.renege_counts.append(0)
         self.renege_counts[position] += 1
         self.renege_total += 1
-        self.renege_version += 1
 
     def service_rate(self) -> float | None:
         if self.queued_accepts < MIN_SERVICE_OBSERVATIONS or self.busy_time <= 0:
@@ -238,26 +235,19 @@ class _QueueStats:
             return rates
         occ = self.position_occupancy()
         n = min(up_to + 1, len(self.renege_counts), len(occ))
-        for j in range(1, n):
-            if occ[j] > 0:
-                rates[j] = self.renege_counts[j] / occ[j]
+        np.divide(self.renege_counts[1:n], occ[1:n], out=rates[1:n], where=occ[1:n] > 0)
         return rates
 
     def expected_wait_vector(self, mu: float, up_to: int) -> np.ndarray:
-        """ew[k] = expected wait at position k under current estimates."""
-        key = (mu, self.renege_version, self.busy_time, up_to)
-        if self._ew_cache_key == key:
-            return self._ew_cache
+        """ew[k] = expected wait at position k under current estimates.
+
+        Both sums accumulate left to right, as ``tenants.expected_wait``
+        does, so ew[k] equals it to the last bit; omega[0] is zero, the
+        service slot never reneges.
+        """
         omega = self.renege_rates(up_to)
         ew = np.zeros(up_to + 1)
-        cum = 0.0
-        total = 0.0
-        for i in range(up_to):
-            cum += omega[i] if i > 0 else 0.0
-            total += 1.0 / (mu + cum)
-            ew[i + 1] = total
-        self._ew_cache_key = key
-        self._ew_cache = ew
+        np.add.accumulate(1.0 / (mu + np.add.accumulate(omega[:up_to])), out=ew[1:])
         return ew
 
 
@@ -292,10 +282,10 @@ class _Simulation:
         self.n_stats = 1 if single_queue else n
         self.stats = [_QueueStats() for _ in range(self.n_stats)]
 
-        costs = scenario.cost_matrix()
-        self.assigned_by_index = np.array(
-            [costs @ np.asarray(s, dtype=float) for s in self.region.feasible]
+        self.assigned_by_index = (
+            np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
         )
+        self._max_index = -1  # state index last folded into max_assigned
 
         self.now = 0.0
         self._last_t = 0.0
@@ -361,10 +351,13 @@ class _Simulation:
         else:
             for t, q in enumerate(self.ctrl.queues):
                 self.stats[t].elapse(dt_full, len(q))
-        assigned = self.assigned_by_index[self.ctrl.state_index]
-        for m in range(len(assigned)):
-            if assigned[m] > self.metrics.max_assigned[m]:
-                self.metrics.max_assigned[m] = assigned[m]
+        index = self.ctrl.state_index
+        if index != self._max_index:
+            self._max_index = index
+            assigned = self.assigned_by_index[index]
+            for m in range(len(assigned)):
+                if assigned[m] > self.metrics.max_assigned[m]:
+                    self.metrics.max_assigned[m] = assigned[m]
         dt = hi - max(lo, self.warmup_time)
         if dt <= 0:
             return
@@ -405,43 +398,37 @@ class _Simulation:
     def _reevaluate_queue(self, slice_type: int) -> None:
         """Let every waiting position-aware tenant re-decide; cascades until
         no one reneges."""
+        kind = self.config.knowledge.kind
+        if kind in ("patient", "avg_wait", "blind"):
+            return
         queue = self._queue_of(slice_type)
         stats = self._stats_of(slice_type)
-        while True:
-            victim = None
-            victim_pos = 0
-            mu = stats.service_rate()
-            ew = None
-            for pos, req in enumerate(queue, start=1):
-                kind = req.regime.kind
-                if kind in ("patient", "avg_wait", "blind"):
-                    continue
-                if kind == "serving_rate":
-                    if mu is not None and not renege_serving_rate(req, pos, mu):
-                        victim, victim_pos = req, pos
-                        break
-                elif kind == "full":
-                    if mu is not None:
-                        if ew is None:
-                            ew = stats.expected_wait_vector(mu, len(queue))
-                        value = req.profit_rate * req.lifetime
-                        if value - req.waiting_cost_rate * ew[pos] < 0.0:
-                            victim, victim_pos = req, pos
-                            break
-                elif kind == "position":
-                    # re-decided at position changes only: between departures
-                    # the sunk time keeps growing but the tenant acts on the
-                    # progress it has actually observed
-                    wait, _deadline = renege_position(
-                        req, pos, req.entry_queue_length,
-                        self.now - req.enter_time, req.regime.delta_k,
-                    )
-                    if not wait:
-                        victim, victim_pos = req, pos
-                        break
-            if victim is None:
+        while queue:
+            if kind == "position":
+                # re-decided at position changes only: between departures
+                # the sunk time keeps growing but the tenant acts on the
+                # progress it has actually observed
+                pos = next((
+                    pos for pos, req in enumerate(queue, start=1)
+                    if not renege_position(req, pos, req.entry_queue_length,
+                                           self.now - req.enter_time,
+                                           req.regime.delta_k)[0]
+                ), 0)
+            elif (mu := stats.service_rate()) is None:
                 return
-            self._renege(victim, victim_pos)
+            elif kind == "serving_rate":
+                pos = next((pos for pos, req in enumerate(queue, start=1)
+                            if not renege_serving_rate(req, pos, mu)), 0)
+            else:  # full: one comparison over the whole queue
+                n = len(queue)
+                ew = stats.expected_wait_vector(mu, n)
+                value = np.fromiter((r.profit_rate * r.lifetime for r in queue), float, n)
+                cost_rate = np.fromiter((r.waiting_cost_rate for r in queue), float, n)
+                leaves = value - cost_rate * ew[1:] < 0.0
+                pos = int(leaves.argmax()) + 1 if leaves.any() else 0
+            if pos == 0:
+                return
+            self._renege(queue[pos - 1], pos)
 
     def _renege(self, req: PendingRequest, position: int) -> None:
         queue = self._queue_of(req.slice_type)

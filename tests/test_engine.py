@@ -1,9 +1,12 @@
 """Simulator behavior: determinism, conservation, flow balance, regime hooks
 and agreement between the isolated queue and its stationary law."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceq.core import (
     Scenario,
@@ -11,6 +14,7 @@ from sliceq.core import (
     demo_scenario,
     enumerate_regions,
     naive_strategy,
+    random_strategy,
     tiny_scenario,
 )
 from sliceq import engine
@@ -25,7 +29,7 @@ from sliceq.engine import (
 )
 from sliceq.errors import InvalidInputError
 from sliceq.queueing import QueueParams, impatient_pmf
-from sliceq.tenants import KnowledgeRegime
+from sliceq.tenants import KnowledgeRegime, expected_wait
 
 from helpers import tv_from_dict
 
@@ -105,6 +109,25 @@ def test_resource_safety():
     m = run_replication(DEMO, strat, cfg, 0, region=DEMO_REGION)
     for used, cap in zip(m.max_assigned, DEMO.resources):
         assert used <= cap + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
+                                  "serving_rate", "full", "greedy_single"])
+def test_max_assigned_is_the_largest_visited_load(kind):
+    # with no warmup every state held for a positive time is an occupancy key
+    strat = naive_strategy(DEMO_REGION, [2, 1, 0])
+    regime = KnowledgeRegime("full" if kind == "greedy_single" else kind,
+                             risk_factor=0.1)
+    cfg = SimConfig(horizon=60.0, master_seed=11, warmup_fraction=0.0,
+                    knowledge=regime, initial_state="random_feasible")
+    if kind == "greedy_single":
+        m = greedy_single_queue_baseline(DEMO, cfg, region=DEMO_REGION)
+    else:
+        m = run_replication(DEMO, strat, cfg, 0, region=DEMO_REGION)
+    costs = DEMO.cost_matrix()
+    loads = np.array([costs @ np.asarray(s, dtype=float) for s in m.occupancy])
+    assert len(loads) > 1
+    np.testing.assert_allclose(m.max_assigned, loads.max(axis=0), rtol=0, atol=1e-12)
 
 
 def test_bottleneck_flow_balance():
@@ -318,3 +341,52 @@ def test_substreams_independent_of_extra_draws():
     _ = substream(1, 0, 40).exponential(1.0, size=100)
     a2 = substream(1, 0, 10).exponential(1.0, size=5)
     assert np.array_equal(a1, a2)
+
+
+def _stats_with(lengths, renege_positions):
+    stats = engine._QueueStats()
+    for dt, length in lengths:
+        stats.elapse(dt, length)
+    for pos in renege_positions:
+        stats.note_renege(pos)
+    return stats
+
+
+@pytest.mark.parametrize("renege_range", [(0, engine.MIN_SERVICE_OBSERVATIONS - 1),
+                                          (engine.MIN_SERVICE_OBSERVATIONS, 60)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_expected_wait_vector_equals_loop_reference(renege_range, data):
+    # below the gate the renege rates are published as zero; at or above it
+    # they come from the counts, and the vector must still equal the loop
+    lengths = data.draw(st.lists(
+        st.tuples(st.floats(0.001, 50.0), st.integers(0, 40)), max_size=30))
+    positions = data.draw(st.lists(st.integers(1, 45), min_size=renege_range[0],
+                                   max_size=renege_range[1]))
+    mu = data.draw(st.floats(0.01, 100.0))
+    up_to = data.draw(st.integers(0, 50))
+    stats = _stats_with(lengths, positions)
+    omega = stats.renege_rates(up_to)
+    assert (stats.renege_total >= engine.MIN_SERVICE_OBSERVATIONS) == (renege_range[0] > 0)
+    ew = stats.expected_wait_vector(mu, up_to)
+    assert len(ew) == up_to + 1
+    for k in range(up_to + 1):
+        assert ew[k] == expected_wait(k, mu, omega)
+
+
+def test_renege_gate_open_run_is_pinned():
+    # the only pinned full-knowledge run whose renege-rate gate opens: it
+    # guards the omega != 0 path of the wait estimator
+    rng = np.random.default_rng(5)
+    strat = [random_strategy(DEMO_REGION, rng) for _ in range(3)][2]
+    cfg = SimConfig(horizon=1000, master_seed=0, knowledge=KnowledgeRegime("full"),
+                    initial_state="random_full")
+    m = run_replication(DEMO, strat, cfg, 2, region=DEMO_REGION)
+    assert m.reneges == [27, 0]
+    assert len(m.records) == 15979
+    h = hashlib.sha256()
+    for r in m.records:
+        h.update(repr((r.request_id, r.slice_type, r.enter_time, r.lifetime,
+                       r.entry_queue_length, r.disposition, r.wait,
+                       r.end_profit)).encode())
+    assert h.hexdigest() == "cbb98ee938cb5b6bacfcb30e2c2b1f57f69a1701eea9aae440dbae25858b11b7"
