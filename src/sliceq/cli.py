@@ -121,6 +121,8 @@ def cmd_simulate(args) -> int:
         initial_state=args.initial_state,
         warmup_fraction=args.warmup,
     )
+    if args.trace and args.threads > 1:
+        raise InvalidInputError("--trace runs the replications serially; drop --threads")
     out = OutputDir.create(
         args.out, args.force,
         command="simulate", seed=args.seed,
@@ -128,13 +130,16 @@ def cmd_simulate(args) -> int:
         argv=sys.argv[1:],
     )
 
-    trace_rows = []
-    if args.trace and args.replications > 1:
-        raise InvalidInputError("--trace is limited to single-replication runs")
     if args.trace:
-        metrics = run_replication(scenario, strategy, config, 0,
-                                  trace=trace_rows.append)
-        rows, runs = [summarize_run(metrics, scenario)], [metrics]
+        runs = []
+        # events go to the file as they happen; each names its replication
+        with open(out.path / "events.jsonl", "w") as fh:
+            for rep in range(config.replications):
+                def emit(event, rep=rep):
+                    fh.write(json.dumps({"replication": rep, **event}) + "\n")
+                runs.append(run_replication(scenario, strategy, config, rep, trace=emit))
+        out.manifest["outputs"].append("events.jsonl")
+        rows = [summarize_run(m, scenario) for m in runs]
     else:
         mc = run_monte_carlo(scenario, strategy, config, threads=args.threads)
         rows, runs = mc.rows, mc.runs
@@ -155,11 +160,6 @@ def cmd_simulate(args) -> int:
                 "" if r.end_profit is None else f"{r.end_profit:.9g}",
             ])
     out.write_csv("requests.csv", req_header, req_rows)
-    if args.trace:
-        with open(out.path / "events.jsonl", "w") as fh:
-            for ev in trace_rows:
-                fh.write(json.dumps(ev) + "\n")
-        out.manifest["outputs"].append("events.jsonl")
     out.finalize()
     print(f"wrote {out.path}/metrics.csv ({len(rows)} replications)")
     return EXIT_OK

@@ -54,11 +54,20 @@ MIN_SERVICE_OBSERVATIONS = 10
 
 PATIENT = KnowledgeRegime("patient")
 
+DRAW_BLOCK = 512  # exponentials drawn per refill of a single-scale stream
+
 
 def substream(master_seed: int, replication: int, tag: int) -> np.random.Generator:
     """Counter-based generator for one (replication, purpose) pair."""
     seq = np.random.SeedSequence((int(master_seed), int(replication), int(tag)))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def exponential_draws(rng: np.random.Generator, scale: float):
+    """Successive Exp(scale) draws of ``rng``, drawn a block at a time; a
+    block holds the same doubles as that many scalar draws."""
+    while True:
+        yield from rng.exponential(scale, DRAW_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -274,13 +283,20 @@ class _Simulation:
         n = scenario.n_types
         seed = config.master_seed
         self.rng_init = substream(seed, replication, TAG_INIT)
-        self.rng_arrival = [substream(seed, replication, TAG_ARRIVAL + t) for t in range(n)]
-        self.rng_lifetime = [substream(seed, replication, TAG_LIFETIME + t) for t in range(n)]
+        types = scenario.slice_types
+        self.interarrivals = [exponential_draws(substream(seed, replication, TAG_ARRIVAL + t),
+                                                1.0 / types[t].arrival_rate) for t in range(n)]
+        self.lifetimes = [exponential_draws(substream(seed, replication, TAG_LIFETIME + t),
+                                            types[t].mean_lifetime) for t in range(n)]
 
         self.ctrl = ControllerState(region=self.region, queue_cap=config.queue_cap)
         self.mixed_queue: deque = deque()
         self.n_stats = 1 if single_queue else n
         self.stats = [_QueueStats() for _ in range(self.n_stats)]
+        # per queue, in queue order: each request's profit_rate * lifetime
+        # and waiting_cost_rate, for the full-knowledge re-decision
+        self.values = [deque() for _ in range(self.n_stats)]
+        self.cost_rates = [deque() for _ in range(self.n_stats)]
 
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
@@ -315,8 +331,9 @@ class _Simulation:
     def _queue_of(self, slice_type: int) -> deque:
         return self.mixed_queue if self.single_queue else self.ctrl.queues[slice_type - 1]
 
-    def _stats_of(self, slice_type: int) -> _QueueStats:
-        return self.stats[0] if self.single_queue else self.stats[slice_type - 1]
+    def _index_of(self, slice_type: int) -> int:
+        """Index of the queue a request of ``slice_type`` waits in."""
+        return 0 if self.single_queue else slice_type - 1
 
     def _emit(self, kind: str, slice_type: int, request_id) -> None:
         if self.trace is None:
@@ -382,7 +399,7 @@ class _Simulation:
         kind = req.regime.kind
         if kind in ("patient", "blind", "position"):
             return True
-        stats = self._stats_of(req.slice_type)
+        stats = self.stats[self._index_of(req.slice_type)]
         if kind == "avg_wait":
             return renege_avg_wait(req, stats.mean_accepted_wait())
         mu = stats.service_rate()
@@ -401,42 +418,53 @@ class _Simulation:
         kind = self.config.knowledge.kind
         if kind in ("patient", "avg_wait", "blind"):
             return
-        queue = self._queue_of(slice_type)
-        stats = self._stats_of(slice_type)
+        queue, i = self._queue_of(slice_type), self._index_of(slice_type)
+        stats = self.stats[i]
+        mu = stats.service_rate()
+        if kind != "position" and mu is None:
+            return
+        if kind != "full":
+            # a renege at p leaves the requests ahead of p, their entry
+            # lengths, now and mu as they were, so one pass that goes on
+            # behind each renege decides as a rescan from the head would
+            leaving = []
+            for pos, req in enumerate(queue, start=1):
+                pos -= len(leaving)
+                if kind == "position":
+                    # re-decided at position changes only: between
+                    # departures the sunk time keeps growing but the tenant
+                    # acts on the progress it has actually observed
+                    stays = renege_position(req, pos, req.entry_queue_length,
+                                            self.now - req.enter_time,
+                                            req.regime.delta_k)[0]
+                else:
+                    stays = renege_serving_rate(req, pos, mu)
+                if not stays:
+                    leaving.append((req, pos))
+            for req, pos in leaving:
+                self._renege(req, pos)
+            return
+        # full: a renege moves the published renege rates, so every renege
+        # is followed by one comparison over the whole queue
         while queue:
-            if kind == "position":
-                # re-decided at position changes only: between departures
-                # the sunk time keeps growing but the tenant acts on the
-                # progress it has actually observed
-                pos = next((
-                    pos for pos, req in enumerate(queue, start=1)
-                    if not renege_position(req, pos, req.entry_queue_length,
-                                           self.now - req.enter_time,
-                                           req.regime.delta_k)[0]
-                ), 0)
-            elif (mu := stats.service_rate()) is None:
+            n = len(queue)
+            ew = stats.expected_wait_vector(mu, n)
+            value = np.fromiter(self.values[i], float, n)
+            cost_rate = np.fromiter(self.cost_rates[i], float, n)
+            leaves = value - cost_rate * ew[1:] < 0.0
+            if not leaves.any():
                 return
-            elif kind == "serving_rate":
-                pos = next((pos for pos, req in enumerate(queue, start=1)
-                            if not renege_serving_rate(req, pos, mu)), 0)
-            else:  # full: one comparison over the whole queue
-                n = len(queue)
-                ew = stats.expected_wait_vector(mu, n)
-                value = np.fromiter((r.profit_rate * r.lifetime for r in queue), float, n)
-                cost_rate = np.fromiter((r.waiting_cost_rate for r in queue), float, n)
-                leaves = value - cost_rate * ew[1:] < 0.0
-                pos = int(leaves.argmax()) + 1 if leaves.any() else 0
-            if pos == 0:
-                return
+            pos = int(leaves.argmax()) + 1
             self._renege(queue[pos - 1], pos)
 
     def _renege(self, req: PendingRequest, position: int) -> None:
-        queue = self._queue_of(req.slice_type)
-        queue.remove(req)
+        i = self._index_of(req.slice_type)
+        del self._queue_of(req.slice_type)[position - 1]
+        del self.values[i][position - 1]
+        del self.cost_rates[i][position - 1]
         req.done = True
         req.deadline_token += 1
-        stats = self._stats_of(req.slice_type)
-        stats.note_renege(position)
+        self.stats[i].note_renege(position)
         t = req.slice_type - 1
         wait = self.now - req.enter_time
         self.metrics.reneges[t] += 1
@@ -446,9 +474,7 @@ class _Simulation:
     # -- event handlers ----------------------------------------------------
 
     def _schedule_arrival(self, t: int) -> None:
-        lam = self.scenario.slice_types[t].arrival_rate
-        self._push(self.now + self.rng_arrival[t].exponential(1.0 / lam),
-                   PRIO_ARRIVAL, "arrival", t)
+        self._push(self.now + next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
 
     def _schedule_release(self, slice_type: int, lifetime: float) -> None:
         self._push(self.now + lifetime, PRIO_RELEASE, "release", slice_type)
@@ -459,8 +485,7 @@ class _Simulation:
         req.deadline_token += 1
         self.metrics.acceptances[t] += 1
         self._schedule_release(req.slice_type, req.lifetime)
-        stats = self._stats_of(req.slice_type)
-        stats.note_accept(wait)
+        self.stats[self._index_of(req.slice_type)].note_accept(wait)
         if self.now >= self.warmup_time:
             self.metrics.acceptance_times[t].append(self.now)
         self._record(req, "accepted", wait, end_profit(req, True, wait))
@@ -485,7 +510,7 @@ class _Simulation:
         st = self.scenario.slice_types[t]
         req = PendingRequest(
             request_id=self._next_id, slice_type=t + 1, enter_time=self.now,
-            lifetime=self.rng_lifetime[t].exponential(st.mean_lifetime),
+            lifetime=next(self.lifetimes[t]),
             issue_cost=st.issue_cost, waiting_cost_rate=st.waiting_cost_rate,
             profit_rate=st.profit_rate, regime=self.config.knowledge,
         )
@@ -512,6 +537,9 @@ class _Simulation:
             return
 
         self.metrics.joined[t] += 1
+        i = self._index_of(req.slice_type)
+        self.values[i].append(req.profit_rate * req.lifetime)
+        self.cost_rates[i].append(req.waiting_cost_rate)
         if req.regime.kind == "blind" and not req.done:
             t_max = renege_blind(req, req.regime.risk_factor)
             if math.isfinite(t_max):
@@ -536,6 +564,9 @@ class _Simulation:
 
     def _after_acceptances(self, accepted: list[PendingRequest]) -> None:
         for a in accepted:
+            i = self._index_of(a.slice_type)
+            self.values[i].popleft()
+            self.cost_rates[i].popleft()
             self._accept(a)
         if self.single_queue:
             if accepted:
@@ -558,11 +589,9 @@ class _Simulation:
         req, token = payload
         if req.done or token != req.deadline_token:
             return
+        # a request that is not done still waits in its queue
         queue = self._queue_of(req.slice_type)
-        try:
-            position = next(i for i, r in enumerate(queue, start=1) if r is req)
-        except StopIteration:
-            return
+        position = next(i for i, r in enumerate(queue, start=1) if r is req)
         self._renege(req, position)
         self._reevaluate_queue(req.slice_type)
 
@@ -592,9 +621,8 @@ class _Simulation:
     def run(self) -> RunMetrics:
         self.ctrl.state_index = self._draw_initial_state()
         for t, count in enumerate(self.ctrl.state):
-            st = self.scenario.slice_types[t]
             for _ in range(count):
-                self._schedule_release(t + 1, self.rng_lifetime[t].exponential(st.mean_lifetime))
+                self._schedule_release(t + 1, next(self.lifetimes[t]))
         for t in range(self.scenario.n_types):
             self._schedule_arrival(t)
 

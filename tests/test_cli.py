@@ -101,7 +101,36 @@ def test_simulate_trace(tmp_path, capsys):
     events = [json.loads(line)
               for line in (out_dir / "events.jsonl").read_text().splitlines()]
     assert events
-    assert {"time", "kind", "state"} <= set(events[0])
+    assert {"replication", "time", "kind", "state"} <= set(events[0])
+    assert {e["replication"] for e in events} == {0}
+
+    # several replications run serially; metrics.csv is the untraced run's
+    argv = ["simulate", "--scenario", "builtin:demo", "--strategy", "naive:1,2,0",
+            "--horizon", "20", "--seed", "3", "--knowledge", "full",
+            "--replications", "2"]
+    code, *_ = _run(capsys, *argv, "--trace", "--out", str(tmp_path / "traced"))
+    assert code == 0
+    code, *_ = _run(capsys, *argv, "--out", str(tmp_path / "plain"))
+    assert code == 0
+    assert (tmp_path / "traced" / "metrics.csv").read_text() == \
+        (tmp_path / "plain" / "metrics.csv").read_text()
+    events = [json.loads(line)
+              for line in (tmp_path / "traced" / "events.jsonl").read_text().splitlines()]
+    reps = [e["replication"] for e in events]
+    assert reps == sorted(reps) and set(reps) == {0, 1}
+    with open(tmp_path / "traced" / "requests.csv") as fh:
+        requests = list(csv.DictReader(fh))
+    for rep in (0, 1):
+        arrivals = [e for e in events if e["replication"] == rep and e["kind"] == "request"]
+        assert len(arrivals) == sum(r["replication"] == str(rep) for r in requests)
+    manifest = json.loads((tmp_path / "traced" / "manifest.json").read_text())
+    assert "events.jsonl" in manifest["outputs"]
+
+    code, _, err = _run(capsys, *argv, "--trace", "--threads", "2",
+                        "--out", str(tmp_path / "threaded"))
+    assert code == 2
+    assert "--trace" in err
+    assert not (tmp_path / "threaded").exists()
 
 
 def test_fit_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceq.controller import PendingRequest
 from sliceq.core import (
     Scenario,
     SliceType,
@@ -19,6 +20,8 @@ from sliceq.core import (
 )
 from sliceq import engine
 from sliceq.engine import (
+    TAG_ARRIVAL,
+    TAG_LIFETIME,
     SimConfig,
     greedy_single_queue_baseline,
     isolated_queue_sim,
@@ -29,7 +32,13 @@ from sliceq.engine import (
 )
 from sliceq.errors import InvalidInputError
 from sliceq.queueing import QueueParams, impatient_pmf
-from sliceq.tenants import KnowledgeRegime, expected_wait
+from sliceq.tenants import (
+    KnowledgeRegime,
+    expected_wait,
+    renege_full,
+    renege_position,
+    renege_serving_rate,
+)
 
 from helpers import tv_from_dict
 
@@ -390,3 +399,128 @@ def test_renege_gate_open_run_is_pinned():
                        r.entry_queue_length, r.disposition, r.wait,
                        r.end_profit)).encode())
     assert h.hexdigest() == "cbb98ee938cb5b6bacfcb30e2c2b1f57f69a1701eea9aae440dbae25858b11b7"
+
+
+@pytest.mark.parametrize("tag, scale", [
+    (TAG_ARRIVAL + 1, 1.0 / DEMO.slice_types[1].arrival_rate),
+    (TAG_LIFETIME, DEMO.slice_types[0].mean_lifetime),
+])
+def test_block_draws_equal_scalar_draws(tag, scale):
+    # the simulator draws each single-scale stream a block at a time; numpy
+    # must give the same doubles as one scalar draw after another
+    n = 2 * engine.DRAW_BLOCK + 7
+    draws = engine.exponential_draws(substream(3, 1, tag), scale)
+    blocked = [next(draws) for _ in range(n)]
+    rng = substream(3, 1, tag)
+    assert blocked == [rng.exponential(scale) for _ in range(n)]
+
+
+def _rescan_from_head(sim, slice_type):
+    """Reference cascade: after every renege, re-decide from the head."""
+    kind = sim.config.knowledge.kind
+    queue = sim._queue_of(slice_type)
+    stats = sim.stats[sim._index_of(slice_type)]
+    while queue:
+        if kind == "position":
+            pos = next((pos for pos, req in enumerate(queue, start=1)
+                        if not renege_position(req, pos, req.entry_queue_length,
+                                               sim.now - req.enter_time,
+                                               req.regime.delta_k)[0]), 0)
+        elif (mu := stats.service_rate()) is None:
+            return
+        elif kind == "serving_rate":
+            pos = next((pos for pos, req in enumerate(queue, start=1)
+                        if not renege_serving_rate(req, pos, mu)), 0)
+        else:
+            omega = stats.renege_rates(len(queue))
+            pos = next((pos for pos, req in enumerate(queue, start=1)
+                        if not renege_full(req, pos, mu, omega)), 0)
+        if pos == 0:
+            return
+        sim._renege(queue[pos - 1], pos)
+
+
+def _assert_columns_in_step(sim):
+    queues = [sim.mixed_queue] if sim.single_queue else sim.ctrl.queues
+    for queue, values, cost_rates in zip(queues, sim.values, sim.cost_rates):
+        assert list(values) == [r.profit_rate * r.lifetime for r in queue]
+        assert list(cost_rates) == [r.waiting_cost_rate for r in queue]
+
+
+@pytest.mark.parametrize("kind, gate_open", [("position", False), ("serving_rate", False),
+                                             ("full", False), ("full", True)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
+    single = data.draw(st.booleans())
+    slice_type = 1 if single else data.draw(st.integers(1, 2))
+    now = data.draw(st.floats(0.0, 100.0))
+    n = data.draw(st.integers(1, 40))
+    reqs = [dict(lifetime=data.draw(st.floats(0.01, 60.0)),
+                 profit_rate=data.draw(st.floats(0.1, 10.0)),
+                 waiting_cost_rate=data.draw(st.floats(0.1, 10.0)),
+                 enter_time=data.draw(st.floats(0.0, now)),
+                 extra_length=data.draw(st.integers(0, 4)),
+                 delta_k=data.draw(st.integers(1, 3))) for _ in range(n)]
+    queued_accepts = data.draw(st.integers(engine.MIN_SERVICE_OBSERVATIONS - 2, 40))
+    busy_time = data.draw(st.floats(0.1, 100.0))
+    lengths = data.draw(st.lists(st.tuples(st.floats(0.01, 20.0), st.integers(0, 45)),
+                                 max_size=20))
+    renege_positions = data.draw(st.lists(
+        st.integers(1, 45), min_size=engine.MIN_SERVICE_OBSERVATIONS if gate_open else 0,
+        max_size=30 if gate_open else engine.MIN_SERVICE_OBSERVATIONS - 1))
+
+    def build():
+        cfg = SimConfig(horizon=1000.0, knowledge=KnowledgeRegime(kind))
+        sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [1, 2, 0]),
+                                 cfg, 0, region=DEMO_REGION, single_queue=single)
+        sim.now = now
+        i = sim._index_of(slice_type)
+        stats = sim.stats[i]
+        for dt, length in lengths:
+            stats.elapse(dt, length)
+        for pos in renege_positions:
+            stats.note_renege(pos)
+        stats.queued_accepts, stats.busy_time = queued_accepts, busy_time
+        queue = sim._queue_of(slice_type)
+        for k, r in enumerate(reqs, start=1):
+            req = PendingRequest(request_id=k, slice_type=slice_type,
+                                 enter_time=r["enter_time"], lifetime=r["lifetime"],
+                                 issue_cost=0.0, waiting_cost_rate=r["waiting_cost_rate"],
+                                 profit_rate=r["profit_rate"],
+                                 regime=KnowledgeRegime(kind, delta_k=r["delta_k"]),
+                                 entry_queue_length=k + r["extra_length"])
+            queue.append(req)
+            sim.values[i].append(req.profit_rate * req.lifetime)
+            sim.cost_rates[i].append(req.waiting_cost_rate)
+        reneged = []
+        renege = sim._renege
+        sim._renege = lambda req, pos: (reneged.append((req.request_id, pos)),
+                                        renege(req, pos))
+        return sim, reneged
+
+    sim, got = build()
+    ref, want = build()
+    stats = sim.stats[sim._index_of(slice_type)]
+    assert (stats.renege_total >= engine.MIN_SERVICE_OBSERVATIONS) == gate_open
+    sim._reevaluate_queue(slice_type)
+    _rescan_from_head(ref, slice_type)
+    assert got == want
+    assert [r.request_id for r in sim._queue_of(slice_type)] == \
+        [r.request_id for r in ref._queue_of(slice_type)]
+    _assert_columns_in_step(sim)
+
+
+@pytest.mark.parametrize("queue_cap", [100, None])
+@pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
+                                  "serving_rate", "full", "greedy_single"])
+def test_value_columns_stay_in_step(kind, queue_cap):
+    single = kind == "greedy_single"
+    regime = KnowledgeRegime("full" if single else kind, risk_factor=0.1)
+    cfg = SimConfig(horizon=150.0, master_seed=4, queue_cap=queue_cap, knowledge=regime,
+                    initial_state="random_full")
+    sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [2, 1, 0]),
+                             cfg, 0, region=DEMO_REGION, single_queue=single)
+    m = sim.run()
+    assert sum(m.still_waiting) > 0
+    _assert_columns_in_step(sim)
