@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     BUILTIN_SCENARIOS,
+    RegionIndex,
     Scenario,
     Strategy,
     enumerate_regions,
@@ -39,7 +40,7 @@ from .queueing import (
     join_accept_probs,
     wait_densities,
 )
-from .tenants import KnowledgeRegime
+from .tenants import REGIME_KINDS, KnowledgeRegime
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -57,8 +58,8 @@ def load_scenario(ref: str) -> Scenario:
     return Scenario.load(ref)
 
 
-def load_strategy(ref: str, scenario: Scenario, seed: int) -> Strategy:
-    region = enumerate_regions(scenario)
+def load_strategy(ref: str, scenario: Scenario, region: RegionIndex,
+                  seed: int) -> Strategy:
     if ref.startswith("naive:"):
         order = [int(x) for x in ref.split(":", 1)[1].split(",")]
         return naive_strategy(region, validate_preference(order, scenario.n_types))
@@ -78,9 +79,7 @@ def _regime_from_args(args) -> KnowledgeRegime:
 
 def cmd_regions(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = run_regions_report(scenario, dump_states=False)
-    if args.dump:
-        report = run_regions_report(scenario, dump_states=True)
+    report = run_regions_report(scenario, dump_states=args.dump)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -111,7 +110,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    strategy = load_strategy(args.strategy, scenario, args.seed)
+    region = enumerate_regions(scenario)
+    strategy = load_strategy(args.strategy, scenario, region, args.seed)
     config = SimConfig(
         horizon=args.horizon,
         replications=args.replications,
@@ -137,11 +137,13 @@ def cmd_simulate(args) -> int:
             for rep in range(config.replications):
                 def emit(event, rep=rep):
                     fh.write(json.dumps({"replication": rep, **event}) + "\n")
-                runs.append(run_replication(scenario, strategy, config, rep, trace=emit))
+                runs.append(run_replication(scenario, strategy, config, rep,
+                                            region=region, trace=emit))
         out.manifest["outputs"].append("events.jsonl")
         rows = [summarize_run(m, scenario) for m in runs]
     else:
-        mc = run_monte_carlo(scenario, strategy, config, threads=args.threads)
+        mc = run_monte_carlo(scenario, strategy, config, threads=args.threads,
+                             region=region)
         rows, runs = mc.rows, mc.runs
 
     header = list(rows[0].keys())
@@ -202,8 +204,8 @@ def cmd_fit(args) -> int:
 
 def cmd_markov(args) -> int:
     scenario = load_scenario(args.scenario)
-    strategy = load_strategy(args.strategy, scenario, args.seed)
     region = enumerate_regions(scenario)
+    strategy = load_strategy(args.strategy, scenario, region, args.seed)
     empty_probs = None
     if args.empty_probs:
         empty_probs = [float(x) for x in args.empty_probs.split(",")]
@@ -287,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=float, default=1000.0)
         p.add_argument("--replications", type=int, default=1)
         p.add_argument("--queue-cap", dest="queue_cap", type=int, default=100)
-        p.add_argument("--knowledge", default="patient",
-                       choices=["patient", "blind", "position", "avg_wait",
-                                "serving_rate", "full"])
+        p.add_argument("--knowledge", default="patient", choices=REGIME_KINDS)
         p.add_argument("--risk-factor", dest="risk_factor", type=float, default=1.0)
         p.add_argument("--delta-k", dest="delta_k", type=int, default=2)
         p.add_argument("--initial-state", dest="initial_state", default="empty",

@@ -6,6 +6,14 @@ regime, and metric collection over Monte-Carlo replications. Each
 replication owns counter-based RNG sub-streams per purpose (arrivals,
 lifetimes, initial state) so that adding draws for one concern never
 perturbs the others.
+
+One event loop runs both admission disciplines: the preference-ordered
+multi-queue controller and the greedy single mixed queue it is judged
+against. Which queue a request waits in and how the queues are served is
+decided in ``controller``; the loop only sees queue indices.
+``isolated_queue_sim`` stays a loop of its own: its service epochs are
+exogenous, and its Bernoulli balk coin and Exp(alpha) patience have no
+counterpart in the admission loop.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ from .controller import (
 )
 from .core import RegionIndex, Scenario, Strategy, enumerate_regions
 from .errors import InvalidInputError
+from .fitting import EMPTY_PROFIT_SUMMARY, profit_summary
 from .queueing import QueueParams
 from .tenants import (
     KnowledgeRegime,
@@ -261,8 +270,8 @@ class _QueueStats:
 
 
 class _Simulation:
-    """One replication: either the multi-queue controller or the greedy
-    single mixed queue."""
+    """One replication: the multi-queue controller or, with ``single_queue``,
+    the greedy single mixed queue, which ignores ``strategy``."""
 
     def __init__(self, scenario: Scenario, strategy: Strategy | None,
                  config: SimConfig, replication: int,
@@ -270,15 +279,13 @@ class _Simulation:
                  single_queue: bool = False, trace=None):
         self.scenario = scenario
         self.config = config
-        self.replication = replication
-        self.single_queue = single_queue
         self.trace = trace
         self.region = region if region is not None else enumerate_regions(scenario)
         if not single_queue:
             if strategy is None:
                 raise InvalidInputError("multi-queue simulation needs a strategy")
             strategy.check_scenario(scenario)
-        self.strategy = strategy
+        self.strategy = None if single_queue else strategy
 
         n = scenario.n_types
         seed = config.master_seed
@@ -289,14 +296,16 @@ class _Simulation:
         self.lifetimes = [exponential_draws(substream(seed, replication, TAG_LIFETIME + t),
                                             types[t].mean_lifetime) for t in range(n)]
 
-        self.ctrl = ControllerState(region=self.region, queue_cap=config.queue_cap)
-        self.mixed_queue: deque = deque()
-        self.n_stats = 1 if single_queue else n
-        self.stats = [_QueueStats() for _ in range(self.n_stats)]
+        self.ctrl = ControllerState(region=self.region,
+                                    queues=[deque()] if single_queue else [],
+                                    queue_cap=config.queue_cap)
+        self.queue_index = self.ctrl.queue_index
+        n_queues = len(self.ctrl.queues)
+        self.stats = [_QueueStats() for _ in range(n_queues)]
         # per queue, in queue order: each request's profit_rate * lifetime
         # and waiting_cost_rate, for the full-knowledge re-decision
-        self.values = [deque() for _ in range(self.n_stats)]
-        self.cost_rates = [deque() for _ in range(self.n_stats)]
+        self.values = [deque() for _ in range(n_queues)]
+        self.cost_rates = [deque() for _ in range(n_queues)]
 
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
@@ -317,8 +326,8 @@ class _Simulation:
             cap_rejections=[0] * n, reneges=[0] * n, acceptances=[0] * n,
             still_waiting=[0] * n,
             acceptance_times=[[] for _ in range(n)],
-            records=[], occupancy={}, busy_time=[0.0] * self.n_stats,
-            queued_accepts=[0] * self.n_stats,
+            records=[], occupancy={}, busy_time=[0.0] * n_queues,
+            queued_accepts=[0] * n_queues,
             max_assigned=[0.0] * scenario.n_resources,
         )
 
@@ -328,26 +337,15 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self.heap, (time, prio, self._seq, kind, payload))
 
-    def _queue_of(self, slice_type: int) -> deque:
-        return self.mixed_queue if self.single_queue else self.ctrl.queues[slice_type - 1]
-
-    def _index_of(self, slice_type: int) -> int:
-        """Index of the queue a request of ``slice_type`` waits in."""
-        return 0 if self.single_queue else slice_type - 1
-
     def _emit(self, kind: str, slice_type: int, request_id) -> None:
         if self.trace is None:
             return
-        if self.single_queue:
-            qlens = [len(self.mixed_queue)]
-        else:
-            qlens = self.ctrl.queue_lengths()
         self.trace({
             "time": self.now,
             "kind": kind,
             "slice_type": slice_type,
             "request_id": request_id,
-            "queue_lengths": qlens,
+            "queue_lengths": self.ctrl.queue_lengths(),
             "state": list(self.ctrl.state),
         })
 
@@ -363,11 +361,8 @@ class _Simulation:
         dt_full = hi - lo
         if dt_full <= 0:
             return
-        if self.single_queue:
-            self.stats[0].elapse(dt_full, len(self.mixed_queue))
-        else:
-            for t, q in enumerate(self.ctrl.queues):
-                self.stats[t].elapse(dt_full, len(q))
+        for i, q in enumerate(self.ctrl.queues):
+            self.stats[i].elapse(dt_full, len(q))
         index = self.ctrl.state_index
         if index != self._max_index:
             self._max_index = index
@@ -399,7 +394,7 @@ class _Simulation:
         kind = req.regime.kind
         if kind in ("patient", "blind", "position"):
             return True
-        stats = self.stats[self._index_of(req.slice_type)]
+        stats = self.stats[self.queue_index[req.slice_type - 1]]
         if kind == "avg_wait":
             return renege_avg_wait(req, stats.mean_accepted_wait())
         mu = stats.service_rate()
@@ -412,13 +407,13 @@ class _Simulation:
         value = req.profit_rate * req.lifetime
         return value - req.issue_cost - req.waiting_cost_rate * ew[length] >= 0.0
 
-    def _reevaluate_queue(self, slice_type: int) -> None:
-        """Let every waiting position-aware tenant re-decide; cascades until
-        no one reneges."""
+    def _reevaluate_queue(self, i: int) -> None:
+        """Let every position-aware tenant waiting in queue ``i`` re-decide;
+        cascades until no one reneges."""
         kind = self.config.knowledge.kind
         if kind in ("patient", "avg_wait", "blind"):
             return
-        queue, i = self._queue_of(slice_type), self._index_of(slice_type)
+        queue = self.ctrl.queues[i]
         stats = self.stats[i]
         mu = stats.service_rate()
         if kind != "position" and mu is None:
@@ -442,7 +437,7 @@ class _Simulation:
                 if not stays:
                     leaving.append((req, pos))
             for req, pos in leaving:
-                self._renege(req, pos)
+                self._renege(i, req, pos)
             return
         # full: a renege moves the published renege rates, so every renege
         # is followed by one comparison over the whole queue
@@ -455,11 +450,10 @@ class _Simulation:
             if not leaves.any():
                 return
             pos = int(leaves.argmax()) + 1
-            self._renege(queue[pos - 1], pos)
+            self._renege(i, queue[pos - 1], pos)
 
-    def _renege(self, req: PendingRequest, position: int) -> None:
-        i = self._index_of(req.slice_type)
-        del self._queue_of(req.slice_type)[position - 1]
+    def _renege(self, i: int, req: PendingRequest, position: int) -> None:
+        del self.ctrl.queues[i][position - 1]
         del self.values[i][position - 1]
         del self.cost_rates[i][position - 1]
         req.done = True
@@ -485,25 +479,11 @@ class _Simulation:
         req.deadline_token += 1
         self.metrics.acceptances[t] += 1
         self._schedule_release(req.slice_type, req.lifetime)
-        self.stats[self._index_of(req.slice_type)].note_accept(wait)
+        self.stats[self.queue_index[t]].note_accept(wait)
         if self.now >= self.warmup_time:
             self.metrics.acceptance_times[t].append(self.now)
         self._record(req, "accepted", wait, end_profit(req, True, wait))
         self._emit("accept", req.slice_type, req.request_id)
-
-    def _serve_single(self) -> list[PendingRequest]:
-        accepted = []
-        region = self.region
-        while self.mixed_queue:
-            head = self.mixed_queue[0]
-            target = region.next_feasible[self.ctrl.state_index][head.slice_type - 1]
-            if target < 0:
-                break
-            self.mixed_queue.popleft()
-            head.done = True
-            self.ctrl.state_index = target
-            accepted.append(head)
-        return accepted
 
     def _handle_arrival(self, t: int) -> None:
         self._schedule_arrival(t)
@@ -518,12 +498,9 @@ class _Simulation:
         self.metrics.arrivals[t] += 1
         self._emit("request", req.slice_type, req.request_id)
 
-        if self.single_queue:
-            disposition, accepted = self._single_on_request(req)
-        else:
-            disposition, accepted = on_request(
-                self.ctrl, self.strategy, req, self._entrance_joins
-            )
+        disposition, accepted = on_request(
+            self.ctrl, self.strategy, req, self._entrance_joins
+        )
 
         if disposition is Disposition.BALKED:
             self.metrics.balks[t] += 1
@@ -537,7 +514,7 @@ class _Simulation:
             return
 
         self.metrics.joined[t] += 1
-        i = self._index_of(req.slice_type)
+        i = self.queue_index[t]
         self.values[i].append(req.profit_rate * req.lifetime)
         self.cost_rates[i].append(req.waiting_cost_rate)
         if req.regime.kind == "blind" and not req.done:
@@ -548,52 +525,30 @@ class _Simulation:
                            (req, req.deadline_token))
         self._after_acceptances(accepted)
 
-    def _single_on_request(self, req: PendingRequest):
-        queue = self.mixed_queue
-        if not self._entrance_joins(req, queue):
-            return Disposition.BALKED, []
-        cap = self.config.queue_cap
-        if cap is not None and len(queue) >= cap:
-            return Disposition.CAP_REJECTED, []
-        req.entry_queue_length = len(queue) + 1
-        queue.append(req)
-        accepted = self._serve_single()
-        if any(a is req for a in accepted):
-            return Disposition.ACCEPTED_IMMEDIATELY, accepted
-        return Disposition.QUEUED, accepted
-
     def _after_acceptances(self, accepted: list[PendingRequest]) -> None:
+        touched = set()
         for a in accepted:
-            i = self._index_of(a.slice_type)
+            i = self.queue_index[a.slice_type - 1]
             self.values[i].popleft()
             self.cost_rates[i].popleft()
             self._accept(a)
-        if self.single_queue:
-            if accepted:
-                self._reevaluate_queue(1)
-        else:
-            for qt in {a.slice_type for a in accepted}:
-                self._reevaluate_queue(qt)
+            touched.add(i)
+        for i in touched:
+            self._reevaluate_queue(i)
 
     def _handle_release(self, slice_type: int) -> None:
         self._emit("release", slice_type, None)
-        if self.single_queue:
-            prev = self.region.prev_feasible[self.ctrl.state_index][slice_type - 1]
-            self.ctrl.state_index = prev
-            accepted = self._serve_single()
-        else:
-            accepted = on_release(self.ctrl, self.strategy, slice_type)
-        self._after_acceptances(accepted)
+        self._after_acceptances(on_release(self.ctrl, self.strategy, slice_type))
 
     def _handle_deadline(self, payload) -> None:
         req, token = payload
         if req.done or token != req.deadline_token:
             return
         # a request that is not done still waits in its queue
-        queue = self._queue_of(req.slice_type)
-        position = next(i for i, r in enumerate(queue, start=1) if r is req)
-        self._renege(req, position)
-        self._reevaluate_queue(req.slice_type)
+        i = self.queue_index[req.slice_type - 1]
+        position = next(p for p, r in enumerate(self.ctrl.queues[i], start=1) if r is req)
+        self._renege(i, req, position)
+        self._reevaluate_queue(i)
 
     # -- main loop ----------------------------------------------------------
 
@@ -603,20 +558,9 @@ class _Simulation:
             return self.region.feasible_index((0,) * self.scenario.n_types)
         if mode == "random_feasible":
             return int(self.rng_init.integers(0, self.region.n_feasible))
-        # random but fully utilized: boundary states, falling back to the
-        # component-wise maximal feasible states when the boundary is empty
-        n_adm, n_all = self.region.n_admissible, self.region.n_feasible
-        if n_all > n_adm:
-            return int(self.rng_init.integers(n_adm, n_all))
-        states = self.region.feasible
-        maximal = [
-            i for i, s in enumerate(states)
-            if not any(
-                other != s and all(o >= x for o, x in zip(other, s))
-                for other in states
-            )
-        ]
-        return maximal[int(self.rng_init.integers(0, len(maximal)))]
+        # random but fully utilized: a boundary state, never missing, since a
+        # feasible state of the largest total count has no feasible increment
+        return int(self.rng_init.integers(self.region.n_admissible, self.region.n_feasible))
 
     def run(self) -> RunMetrics:
         self.ctrl.state_index = self._draw_initial_state()
@@ -642,8 +586,7 @@ class _Simulation:
         self._integrate_to(horizon)
         self.now = horizon
 
-        queues = [self.mixed_queue] if self.single_queue else self.ctrl.queues
-        for q in queues:
+        for q in self.ctrl.queues:
             for req in q:
                 t = req.slice_type - 1
                 self.metrics.still_waiting[t] += 1
@@ -681,7 +624,9 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     Arrivals join with probability exp(-beta * (l+1) / mu) where l is the
     length found (the joining request counts itself); every waiting request,
     head included, abandons after an individual Exp(alpha) patience. The
-    occupancy dict is keyed by queue length.
+    occupancy dict is keyed by queue length. It is a loop of its own rather
+    than a discipline of ``_Simulation``, which has none of these three
+    mechanisms and would have to branch on which caller it serves.
     """
     lam, mu = params.arrival_rate, params.service_rate
     alpha, beta = params.reneging_rate, params.balking_exponent
@@ -813,24 +758,16 @@ def summarize_run(metrics: RunMetrics, scenario: Scenario) -> dict:
     waits = [r.wait for r in metrics.records if r.disposition in ("accepted", "reneged")]
     row["mean_wait_joined"] = float(np.mean(waits)) if waits else 0.0
 
-    per_type_profit = {}
-    for t in range(metrics.n_types):
-        profits = [
-            r.end_profit for r in metrics.records
-            if r.slice_type == t + 1 and r.end_profit is not None
-        ]
-        n = len(profits)
-        total = float(np.sum(profits)) if n else 0.0
-        per_type_profit[t] = (n, total)
-        row[f"total_profit_{t + 1}"] = total
-        row[f"mean_profit_{t + 1}"] = total / n if n else 0.0
-        row[f"profiting_chance_{t + 1}"] = (
-            sum(1 for p in profits if p > 0) / n if n else 0.0
-        )
+    table = profit_summary(metrics.records)
+    summaries = [table.get(t + 1, EMPTY_PROFIT_SUMMARY) for t in range(metrics.n_types)]
+    for t, s in enumerate(summaries):
+        row[f"total_profit_{t + 1}"] = s["total_profit"]
+        row[f"mean_profit_{t + 1}"] = s["mean_profit"]
+        row[f"profiting_chance_{t + 1}"] = s["profiting_chance"]
         row[f"acceptances_{t + 1}"] = metrics.acceptances[t]
         row[f"arrivals_{t + 1}"] = metrics.arrivals[t]
-    n_all = sum(n for n, _ in per_type_profit.values())
-    total_all = sum(tp for _, tp in per_type_profit.values())
+    n_all = sum(s["n_issued"] for s in summaries)
+    total_all = sum(s["total_profit"] for s in summaries)
     row["total_profit"] = total_all
     row["mean_profit"] = total_all / n_all if n_all else 0.0
     return row

@@ -147,7 +147,7 @@ def profit_summary(records) -> dict[int, dict]:
     out = {}
     for t, profits in sorted(by_type.items()):
         n = len(profits)
-        total = float(sum(profits))
+        total = float(np.sum(profits))
         out[t] = {
             "n_issued": n,
             "total_profit": total,
@@ -158,18 +158,19 @@ def profit_summary(records) -> dict[int, dict]:
     return out
 
 
+# the summary of a type that issued nothing
+EMPTY_PROFIT_SUMMARY = {
+    "n_issued": 0,
+    "total_profit": 0.0,
+    "mean_profit": 0.0,
+    "profiting_chance": 0.0,
+    "empty": True,
+}
+
+
 def profit_summary_or_empty(records, slice_type: int) -> dict:
     """Summary for one type, with an explicit empty marker when nothing issued."""
-    table = profit_summary(records)
-    if slice_type in table:
-        return table[slice_type]
-    return {
-        "n_issued": 0,
-        "total_profit": 0.0,
-        "mean_profit": 0.0,
-        "profiting_chance": 0.0,
-        "empty": True,
-    }
+    return profit_summary(records).get(slice_type, dict(EMPTY_PROFIT_SUMMARY))
 
 
 def floor_binned(values) -> np.ndarray:

@@ -292,7 +292,8 @@ class SearchRow:
 
 
 def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, float, float]:
-    mc = run_monte_carlo(scenario, strategy, config, region=region)
+    mc = run_monte_carlo(scenario, strategy, config, region=region,
+                         single_queue=strategy is None)
     return (
         mc.aggregate["u_sigma"][0],
         mc.aggregate["mean_wait_joined"][0],
@@ -322,7 +323,7 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
 
     n_types = scenario.n_types
     rng = substream(config.master_seed, 0, 999)
-    candidates: list[tuple[str, str, Strategy]] = []
+    candidates: list[tuple[str, str, Strategy | None]] = []
     if exhaustive:
         options = (
             [tuple(p) + (0,) for p in itertools.permutations(range(1, n_types + 1))]
@@ -353,10 +354,12 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
             candidates.append(("prefer2", "prefer2", naive_strategy(region, order2)))
         else:
             candidates.append(("prefer1", "prefer1", naive_strategy(region, [1, 0])))
+        # the greedy baseline has no strategy and is always simulated
+        candidates.append(("greedy_single", "greedy_single", None))
 
     rows: list[SearchRow] = []
     for sid, kind, strat in candidates:
-        if evaluator == "simulation":
+        if evaluator == "simulation" or strat is None:
             u_sigma, wait, adm = _simulate_strategy(scenario, strat, region, config)
         else:
             res = analytic_evaluation(scenario, strat, region, seed=config.master_seed)
@@ -364,19 +367,6 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
         value = {"u_sigma": u_sigma, "mean_wait_joined": wait,
                  "admission_rate": adm}[key]
         rows.append(SearchRow(sid, kind, u_sigma, wait, adm, value, strat))
-
-    if include_benchmarks:
-        mc = run_monte_carlo(scenario, None, config, single_queue=True, region=region)
-        rows.append(SearchRow(
-            "greedy_single", "greedy_single",
-            mc.aggregate["u_sigma"][0],
-            mc.aggregate["mean_wait_joined"][0],
-            mc.aggregate["admission_rate"][0],
-            mc.aggregate[{"u_sigma": "u_sigma",
-                          "mean_wait_joined": "mean_wait_joined",
-                          "admission_rate": "admission_rate"}[key]][0],
-            None,
-        ))
 
     rows.sort(key=lambda r: (-r.objective if maximize else r.objective))
     return rows

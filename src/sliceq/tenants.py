@@ -80,18 +80,6 @@ class KnowledgeRegime:
             raise InvalidInputError("delta_k must be at least 1")
 
 
-@dataclass
-class QueueInfoView:
-    """Queue knowledge published to one tenant; only the fields its regime
-    permits are filled in."""
-
-    position: int | None = None
-    length: int | None = None
-    service_rate: float | None = None
-    renege_rates: tuple[float, ...] | None = None
-    mean_accepted_wait: float | None = None
-
-
 def expected_wait(k: int, mu: float, omega) -> float:
     """Expected wait at queue position k given per-position renege rates.
 

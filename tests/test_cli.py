@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from sliceq import cli, engine
 from sliceq.cli import main
-from sliceq.core import demo_scenario, tiny_scenario
+from sliceq.core import demo_scenario, enumerate_regions, tiny_scenario
 
 
 def _run(capsys, *argv):
@@ -60,7 +61,16 @@ def test_invalid_scenario_exit_code(capsys):
     assert code == 2
 
 
-def test_simulate_outputs(tmp_path, capsys):
+def test_simulate_outputs(tmp_path, capsys, monkeypatch):
+    # the region is enumerated once, not once more per replication
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return enumerate_regions(scenario)
+
+    monkeypatch.setattr(cli, "enumerate_regions", counting)
+    monkeypatch.setattr(engine, "enumerate_regions", counting)
     out_dir = tmp_path / "run"
     code, out, _ = _run(
         capsys, "simulate", "--scenario", "builtin:demo",
@@ -79,6 +89,7 @@ def test_simulate_outputs(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["scenario_fingerprint"] == demo_scenario().fingerprint()
     assert "metrics.csv" in manifest["outputs"]
+    assert len(calls) == 1
 
 
 def test_simulate_refuses_existing_dir(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Admission controller mechanics: event handlers, the serving loop, and a
 brute-force equivalence check against a literal interpreter of the rules."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sliceq.controller import (
     PendingRequest,
     on_release,
     on_request,
+    serve_mixed_queue,
     serve_queues,
 )
 from sliceq.core import (
@@ -19,7 +22,7 @@ from sliceq.core import (
     naive_strategy,
     tiny_scenario,
 )
-from sliceq.errors import ProtocolViolationError
+from sliceq.errors import InvalidInputError, ProtocolViolationError
 
 from helpers import reference_serve
 
@@ -121,6 +124,24 @@ def test_request_queued_when_saturated():
     assert disp is Disposition.QUEUED
     assert accepted == []
     assert len(ctrl.queues[0]) == 1
+
+
+def test_mixed_queue_head_blocks_every_type():
+    ctrl = ControllerState(region=TINY_REGION, queues=[deque()],
+                           state_index=TINY_REGION.feasible_index((1, 2)))
+    assert ctrl.queue_index == [0, 0]
+    for rid, t in ((1, 1), (2, 2)):
+        assert on_request(ctrl, None, _req(t, rid))[0] is Disposition.QUEUED
+    # a small slice fits at (1, 1), but the large head does not
+    assert on_release(ctrl, None, 2) == []
+    accepted = on_release(ctrl, None, 1)
+    assert [r.request_id for r in accepted] == [1, 2]
+    assert ctrl.state == (1, 2)
+
+
+def test_mixed_queue_needs_a_single_queue():
+    with pytest.raises(InvalidInputError):
+        serve_mixed_queue(_ctrl())
 
 
 def test_request_cap_rejection():

@@ -69,13 +69,16 @@ def test_demo_region_matches_exact_arithmetic():
     assert set(reg.admissible) == adm
 
 
-def test_zero_capacity_region():
-    sc = Scenario(
+def _zero_capacity_scenario():
+    return Scenario(
         resources=(0.0,),
         slice_types=(SliceType(cost=(0.5,), arrival_rate=1, release_rate=1,
                                profit_rate=1),),
     )
-    reg = enumerate_regions(sc)
+
+
+def test_zero_capacity_region():
+    reg = enumerate_regions(_zero_capacity_scenario())
     assert reg.feasible == [(0,)]
     assert reg.n_admissible == 0
 
@@ -129,11 +132,15 @@ def test_region_counts_invariant_under_type_permutation():
 
 
 def test_boundary_states_not_admissible():
-    sc = tiny_scenario()
-    reg = enumerate_regions(sc)
+    reg = enumerate_regions(tiny_scenario())
     assert reg.n_admissible < reg.n_feasible
     boundary = set(reg.feasible) - set(reg.admissible)
     assert boundary == {(0, 5), (1, 2)}
+    # the boundary is never empty, since a feasible state of the largest
+    # total count has no feasible increment: random_full starts rely on it
+    for sc in (demo_scenario(), _zero_capacity_scenario()):
+        reg = enumerate_regions(sc)
+        assert reg.n_admissible < reg.n_feasible
 
 
 def test_preference_validation():

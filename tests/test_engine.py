@@ -383,6 +383,15 @@ def test_expected_wait_vector_equals_loop_reference(renege_range, data):
         assert ew[k] == expected_wait(k, mu, omega)
 
 
+def _records_sha256(m) -> str:
+    h = hashlib.sha256()
+    for r in m.records:
+        h.update(repr((r.request_id, r.slice_type, r.enter_time, r.lifetime,
+                       r.entry_queue_length, r.disposition, r.wait,
+                       r.end_profit)).encode())
+    return h.hexdigest()
+
+
 def test_renege_gate_open_run_is_pinned():
     # the only pinned full-knowledge run whose renege-rate gate opens: it
     # guards the omega != 0 path of the wait estimator
@@ -393,12 +402,25 @@ def test_renege_gate_open_run_is_pinned():
     m = run_replication(DEMO, strat, cfg, 2, region=DEMO_REGION)
     assert m.reneges == [27, 0]
     assert len(m.records) == 15979
-    h = hashlib.sha256()
-    for r in m.records:
-        h.update(repr((r.request_id, r.slice_type, r.enter_time, r.lifetime,
-                       r.entry_queue_length, r.disposition, r.wait,
-                       r.end_profit)).encode())
-    assert h.hexdigest() == "cbb98ee938cb5b6bacfcb30e2c2b1f57f69a1701eea9aae440dbae25858b11b7"
+    assert _records_sha256(m) == \
+        "cbb98ee938cb5b6bacfcb30e2c2b1f57f69a1701eea9aae440dbae25858b11b7"
+
+
+@pytest.mark.parametrize("kind, queue_cap, reneges, digest", [
+    ("position", 100, [720, 1695],
+     "b699d3508c9e29d473689e6673afa81d093a98fa4b2b82906a2e76a0623e6108"),
+    ("full", None, [0, 0],
+     "9d5fe2824369a65d18b39238e9404693509f6ce396b811257aab33f6a0dcbb4e"),
+])
+def test_greedy_single_queue_run_is_pinned(kind, queue_cap, reneges, digest):
+    # no benchmark digest covers the single mixed queue: these pin it, one
+    # run with reneging cascades and one with an uncapped queue
+    cfg = SimConfig(horizon=1000, master_seed=3, queue_cap=queue_cap,
+                    knowledge=KnowledgeRegime(kind), initial_state="random_full")
+    m = greedy_single_queue_baseline(DEMO, cfg, 1, region=DEMO_REGION)
+    assert m.reneges == reneges
+    assert len(m.records) == 16014
+    assert _records_sha256(m) == digest
 
 
 @pytest.mark.parametrize("tag, scale", [
@@ -415,11 +437,12 @@ def test_block_draws_equal_scalar_draws(tag, scale):
     assert blocked == [rng.exponential(scale) for _ in range(n)]
 
 
-def _rescan_from_head(sim, slice_type):
-    """Reference cascade: after every renege, re-decide from the head."""
+def _rescan_from_head(sim, i):
+    """Reference cascade over queue ``i``: after every renege, re-decide
+    from the head."""
     kind = sim.config.knowledge.kind
-    queue = sim._queue_of(slice_type)
-    stats = sim.stats[sim._index_of(slice_type)]
+    queue = sim.ctrl.queues[i]
+    stats = sim.stats[i]
     while queue:
         if kind == "position":
             pos = next((pos for pos, req in enumerate(queue, start=1)
@@ -437,12 +460,12 @@ def _rescan_from_head(sim, slice_type):
                         if not renege_full(req, pos, mu, omega)), 0)
         if pos == 0:
             return
-        sim._renege(queue[pos - 1], pos)
+        sim._renege(i, queue[pos - 1], pos)
 
 
 def _assert_columns_in_step(sim):
-    queues = [sim.mixed_queue] if sim.single_queue else sim.ctrl.queues
-    for queue, values, cost_rates in zip(queues, sim.values, sim.cost_rates):
+    assert len(sim.values) == len(sim.cost_rates) == len(sim.ctrl.queues)
+    for queue, values, cost_rates in zip(sim.ctrl.queues, sim.values, sim.cost_rates):
         assert list(values) == [r.profit_rate * r.lifetime for r in queue]
         assert list(cost_rates) == [r.waiting_cost_rate for r in queue]
 
@@ -475,14 +498,14 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
         sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [1, 2, 0]),
                                  cfg, 0, region=DEMO_REGION, single_queue=single)
         sim.now = now
-        i = sim._index_of(slice_type)
+        i = sim.ctrl.queue_index[slice_type - 1]
         stats = sim.stats[i]
         for dt, length in lengths:
             stats.elapse(dt, length)
         for pos in renege_positions:
             stats.note_renege(pos)
         stats.queued_accepts, stats.busy_time = queued_accepts, busy_time
-        queue = sim._queue_of(slice_type)
+        queue = sim.ctrl.queues[i]
         for k, r in enumerate(reqs, start=1):
             req = PendingRequest(request_id=k, slice_type=slice_type,
                                  enter_time=r["enter_time"], lifetime=r["lifetime"],
@@ -495,19 +518,19 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
             sim.cost_rates[i].append(req.waiting_cost_rate)
         reneged = []
         renege = sim._renege
-        sim._renege = lambda req, pos: (reneged.append((req.request_id, pos)),
-                                        renege(req, pos))
-        return sim, reneged
+        sim._renege = lambda i, req, pos: (reneged.append((req.request_id, pos)),
+                                           renege(i, req, pos))
+        return sim, reneged, i
 
-    sim, got = build()
-    ref, want = build()
-    stats = sim.stats[sim._index_of(slice_type)]
+    sim, got, i = build()
+    ref, want, _ = build()
+    stats = sim.stats[i]
     assert (stats.renege_total >= engine.MIN_SERVICE_OBSERVATIONS) == gate_open
-    sim._reevaluate_queue(slice_type)
-    _rescan_from_head(ref, slice_type)
+    sim._reevaluate_queue(i)
+    _rescan_from_head(ref, i)
     assert got == want
-    assert [r.request_id for r in sim._queue_of(slice_type)] == \
-        [r.request_id for r in ref._queue_of(slice_type)]
+    assert [r.request_id for r in sim.ctrl.queues[i]] == \
+        [r.request_id for r in ref.ctrl.queues[i]]
     _assert_columns_in_step(sim)
 
 
