@@ -18,6 +18,7 @@ counterpart in the admission loop.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,7 @@ from .queueing import QueueParams
 from .tenants import (
     KnowledgeRegime,
     balk_decision,
+    critical_rate,
     end_profit,
     renege_avg_wait,
     renege_blind,
@@ -61,9 +63,14 @@ TAG_PATIENCE = 72
 # stay zero until this many reneges have been observed
 MIN_SERVICE_OBSERVATIONS = 10
 
-PATIENT = KnowledgeRegime("patient")
-
 DRAW_BLOCK = 512  # exponentials drawn per refill of a single-scale stream
+
+# The critical-rate filter skips an exact decision when mu clears a bound by
+# FILTER_SLACK. A decision's sides are products, quotients and, at position
+# n, a left-to-right sum of n terms each at most fl(1/mu) (rounding is
+# monotone): they err within (n + 4)·2^-52 <= 1e-9 up to MAX_FILTER_LENGTH.
+FILTER_SLACK = 1.0 + 1e-9
+MAX_FILTER_LENGTH = int(1e-9 * 2**52) - 4
 
 
 def substream(master_seed: int, replication: int, tag: int) -> np.random.Generator:
@@ -85,7 +92,7 @@ class SimConfig:
     replications: int = 1
     master_seed: int = 0
     queue_cap: int | None = 100
-    knowledge: KnowledgeRegime = PATIENT
+    knowledge: KnowledgeRegime = KnowledgeRegime("patient")
     initial_state: str = "empty"  # empty | random_feasible | random_full
     warmup_fraction: float = 0.0
     collect_records: bool = True
@@ -236,11 +243,6 @@ class _QueueStats:
             return 0.0
         return self.accept_wait_sum / self.accept_count
 
-    def position_occupancy(self) -> np.ndarray:
-        """occ[j] = total time queue position j (1-based) was occupied."""
-        t = np.asarray(self.time_at_length)
-        return np.cumsum(t[::-1])[::-1]
-
     def renege_rates(self, up_to: int) -> np.ndarray:
         """Per-position renege-rate estimates.
 
@@ -251,7 +253,8 @@ class _QueueStats:
         rates = np.zeros(up_to + 1)
         if self.renege_total < MIN_SERVICE_OBSERVATIONS:
             return rates
-        occ = self.position_occupancy()
+        # occ[j]: total time queue position j (1-based) was occupied
+        occ = np.cumsum(np.asarray(self.time_at_length)[::-1])[::-1]
         n = min(up_to + 1, len(self.renege_counts), len(occ))
         np.divide(self.renege_counts[1:n], occ[1:n], out=rates[1:n], where=occ[1:n] > 0)
         return rates
@@ -259,9 +262,9 @@ class _QueueStats:
     def expected_wait_vector(self, mu: float, up_to: int) -> np.ndarray:
         """ew[k] = expected wait at position k under current estimates.
 
-        Both sums accumulate left to right, as ``tenants.expected_wait``
-        does, so ew[k] equals it to the last bit; omega[0] is zero, the
-        service slot never reneges.
+        Both sums accumulate left to right, as the plain-loop oracle in the
+        tests does, so ew[k] equals it to the last bit; omega[0] is zero,
+        the service slot never reneges.
         """
         omega = self.renege_rates(up_to)
         ew = np.zeros(up_to + 1)
@@ -303,9 +306,13 @@ class _Simulation:
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
         # per queue, in queue order: each request's profit_rate * lifetime
-        # and waiting_cost_rate, for the full-knowledge re-decision
+        # and waiting_cost_rate, for the full-knowledge re-decision; and,
+        # for the two regimes that read it, a bound above each waiting
+        # request's critical rate
         self.values = [deque() for _ in range(n_queues)]
         self.cost_rates = [deque() for _ in range(n_queues)]
+        filtered = config.knowledge.kind in ("serving_rate", "full")
+        self.bounds = [0.0] * n_queues if filtered else None
 
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
@@ -403,9 +410,16 @@ class _Simulation:
         length = len(queue) + 1
         if kind == "serving_rate":
             return balk_decision(req, length, mu)
+        surplus = req.profit_rate * req.lifetime - req.issue_cost
+        if length <= MAX_FILTER_LENGTH:
+            # ew[length] <= length/mu, equal up to rounding while renege rates are gated
+            cost = req.waiting_cost_rate * length / mu
+            if surplus >= cost * FILTER_SLACK:
+                return True
+            if surplus * FILTER_SLACK < cost and stats.renege_total < MIN_SERVICE_OBSERVATIONS:
+                return False
         ew = stats.expected_wait_vector(mu, length)
-        value = req.profit_rate * req.lifetime
-        return value - req.issue_cost - req.waiting_cost_rate * ew[length] >= 0.0
+        return surplus - req.waiting_cost_rate * ew[length] >= 0.0
 
     def _reevaluate_queue(self, i: int) -> None:
         """Let every position-aware tenant waiting in queue ``i`` re-decide;
@@ -416,9 +430,23 @@ class _Simulation:
         queue = self.ctrl.queues[i]
         stats = self.stats[i]
         mu = stats.service_rate()
-        if kind != "position" and mu is None:
+        if kind != "position" and (mu is None or (mu > self.bounds[i] * FILTER_SLACK
+                                                  and len(queue) <= MAX_FILTER_LENGTH)):
             return
-        if kind != "full":
+        if kind == "full":
+            # a renege moves the published renege rates, so every renege is
+            # followed by one comparison over the whole queue
+            while queue:
+                n = len(queue)
+                ew = stats.expected_wait_vector(mu, n)
+                value = np.fromiter(self.values[i], float, n)
+                cost_rate = np.fromiter(self.cost_rates[i], float, n)
+                leaves = value - cost_rate * ew[1:] < 0.0
+                if not leaves.any():
+                    break
+                pos = int(leaves.argmax()) + 1
+                self._renege(i, queue[pos - 1], pos)
+        else:
             # a renege at p leaves the requests ahead of p, their entry
             # lengths, now and mu as they were, so one pass that goes on
             # behind each renege decides as a rescan from the head would
@@ -438,19 +466,19 @@ class _Simulation:
                     leaving.append((req, pos))
             for req, pos in leaving:
                 self._renege(i, req, pos)
-            return
-        # full: a renege moves the published renege rates, so every renege
-        # is followed by one comparison over the whole queue
-        while queue:
-            n = len(queue)
-            ew = stats.expected_wait_vector(mu, n)
-            value = np.fromiter(self.values[i], float, n)
-            cost_rate = np.fromiter(self.cost_rates[i], float, n)
-            leaves = value - cost_rate * ew[1:] < 0.0
-            if not leaves.any():
+            if kind == "position":
                 return
-            pos = int(leaves.argmax()) + 1
-            self._renege(i, queue[pos - 1], pos)
+        self.bounds[i] = max(map(critical_rate, itertools.count(1), self.cost_rates[i],
+                                 self.values[i]), default=0.0)
+
+    def _join(self, i: int, req: PendingRequest) -> None:
+        """Enter a request that joined queue ``i`` in its columns and bound."""
+        value = req.profit_rate * req.lifetime
+        self.values[i].append(value)
+        self.cost_rates[i].append(req.waiting_cost_rate)
+        if self.bounds is not None and not req.done:
+            self.bounds[i] = max(self.bounds[i], critical_rate(
+                len(self.ctrl.queues[i]), req.waiting_cost_rate, value))
 
     def _renege(self, i: int, req: PendingRequest, position: int) -> None:
         del self.ctrl.queues[i][position - 1]
@@ -514,9 +542,7 @@ class _Simulation:
             return
 
         self.metrics.joined[t] += 1
-        i = self.queue_index[t]
-        self.values[i].append(req.profit_rate * req.lifetime)
-        self.cost_rates[i].append(req.waiting_cost_rate)
+        self._join(self.queue_index[t], req)
         if req.regime.kind == "blind" and not req.done:
             t_max = renege_blind(req, req.regime.risk_factor)
             if math.isfinite(t_max):

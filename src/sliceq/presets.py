@@ -150,10 +150,11 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
 def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
                   regime, label, progress=None):
     """One geometric fit per (strategy, queue), pooling the Monte-Carlo
-    rounds of that strategy."""
+    rounds of that strategy, and the arm's summed counts of its capped queues."""
     rows = []
     successes = 0
     total = 0
+    counts = dict.fromkeys(("arrivals", "cap_rejections", "still_waiting"), 0)
     for i, strat in enumerate(strategies):
         cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
                         knowledge=regime, initial_state="random_full",
@@ -164,6 +165,8 @@ def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
                                       replication=i * rounds + r, region=region)
             for t in range(scenario.n_types):
                 pooled[t].extend(metrics.inter_acceptance_times(t + 1))
+            for key in counts:
+                counts[key] += sum(getattr(metrics, key))
         for t in range(scenario.n_types):
             total += 1
             if len(pooled[t]) < 2:
@@ -181,7 +184,7 @@ def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
         if progress:
             progress(f"fig4 {label} strategy {i + 1}/{len(strategies)}")
     rate = successes / total if total else 0.0
-    return rows, rate
+    return rows, rate, counts
 
 
 def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
@@ -195,10 +198,10 @@ def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
     strategies = [random_strategy(region, strat_rng, reserve_last=True)
                   for _ in range(n_strat)]
 
-    rows_patient, rate_patient = _iat_fit_rows(
+    rows_patient, rate_patient, counts_patient = _iat_fit_rows(
         scenario, region, strategies, seed, rounds, horizon,
         KnowledgeRegime("patient"), "patient", progress)
-    rows_full, rate_full = _iat_fit_rows(
+    rows_full, rate_full, counts_full = _iat_fit_rows(
         scenario, region, strategies, seed, rounds, horizon,
         KnowledgeRegime("full"), "impatient", progress)
 
@@ -209,6 +212,8 @@ def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
     summary = {
         "patient_success_rate": rate_patient,
         "impatient_success_rate": rate_full,
+        "patient_counts": counts_patient,
+        "impatient_counts": counts_full,
         "n_strategies": n_strat,
         "rounds": rounds,
         "horizon": horizon,

@@ -80,24 +80,6 @@ class KnowledgeRegime:
             raise InvalidInputError("delta_k must be at least 1")
 
 
-def expected_wait(k: int, mu: float, omega) -> float:
-    """Expected wait at queue position k given per-position renege rates.
-
-    omega[i] is the renege rate at position i; position 0 (the service slot)
-    contributes rate zero regardless. Needs omega defined for positions < k.
-    """
-    if k < 0:
-        raise InvalidInputError("position must be non-negative")
-    if mu <= 0:
-        raise InvalidInputError("service rate must be positive")
-    total = 0.0
-    cum = 0.0
-    for i in range(k):
-        cum += omega[i] if i > 0 and i < len(omega) else 0.0
-        total += 1.0 / (mu + cum)
-    return total
-
-
 def balk_decision(req, length: int, mu: float) -> bool:
     """Issue/balk decision from the expected wait length/mu.
 
@@ -122,17 +104,20 @@ def balking_chance(dist: LifetimeDistribution, length: int, mu: float,
     return 1.0 - dist.cdf(threshold)
 
 
-def renege_full(req, k: int, mu: float, omega) -> bool:
-    """Stay/renege decision with position, service rate and renege rates."""
-    remaining_cost = req.waiting_cost_rate * expected_wait(k, mu, omega)
-    return req.profit_rate * req.lifetime - remaining_cost >= 0.0
-
-
 def renege_serving_rate(req, k: int, mu: float) -> bool:
     """Stay/renege decision with only the position and service rate known."""
     if mu <= 0:
         raise InvalidInputError("service rate must be positive")
-    return k <= mu * req.profit_rate * req.lifetime / req.waiting_cost_rate
+    u = req.waiting_cost_rate
+    return u <= 0 or k <= mu * req.profit_rate * req.lifetime / u
+
+
+def critical_rate(k: int, u: float, value: float) -> float:
+    """k·u/value: above this service rate a tenant at position k stays, under
+    the serving-rate rule and (renege rates only shorten k/mu) the full one."""
+    if u <= 0:
+        return 0.0
+    return k * u / value if value > 0 else math.inf
 
 
 def renege_position(req, k: int, length: int, elapsed: float,

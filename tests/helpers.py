@@ -1,13 +1,16 @@
 """Shared test oracles, kept independent of the implementation paths they
 check: exact-rational region enumeration, a truncated balance-equation
-linear solve, closed-form series integrals, and a literal pass-by-pass
-interpreter of the queue-serving algorithm."""
+linear solve, closed-form series integrals, a literal pass-by-pass
+interpreter of the queue-serving algorithm, and the full-knowledge tenant's
+expected wait and stay/renege rule written as plain loops."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from sliceq.errors import InvalidInputError
 
 
 def rational_regions(resources, costs):
@@ -172,3 +175,27 @@ def reference_serve(state, queues, columns, admissible, feasible_next):
         if state == before:
             break
     return state, accepted
+
+
+def expected_wait(k: int, mu: float, omega) -> float:
+    """Expected wait at queue position k given per-position renege rates.
+
+    omega[i] is the renege rate at position i; position 0 (the service slot)
+    contributes rate zero regardless. Needs omega defined for positions < k.
+    """
+    if k < 0:
+        raise InvalidInputError("position must be non-negative")
+    if mu <= 0:
+        raise InvalidInputError("service rate must be positive")
+    total = 0.0
+    cum = 0.0
+    for i in range(k):
+        cum += omega[i] if i > 0 and i < len(omega) else 0.0
+        total += 1.0 / (mu + cum)
+    return total
+
+
+def renege_full(req, k: int, mu: float, omega) -> bool:
+    """Stay/renege decision with position, service rate and renege rates."""
+    remaining_cost = req.waiting_cost_rate * expected_wait(k, mu, omega)
+    return req.profit_rate * req.lifetime - remaining_cost >= 0.0

@@ -310,7 +310,8 @@ def test_ac9_property_suite():
         checks.append("kld>=0")
 
         # regime dominance
-        from sliceq.tenants import renege_full, renege_serving_rate
+        from helpers import renege_full
+        from sliceq.tenants import renege_serving_rate
         from sliceq.controller import PendingRequest
         for _ in range(200):
             req = PendingRequest(

@@ -234,6 +234,12 @@ def test_preset_fig4_small_scale_reproducible(tmp_path, capsys):
     summary = json.loads((dirs[0] / "fig4_summary.json").read_text())
     assert summary["n_strategies"] == 1
     assert 0.0 <= summary["patient_success_rate"] <= 1.0
+    # the patient arm is a capped queue, and the summary says how capped
+    patient, impatient = summary["patient_counts"], summary["impatient_counts"]
+    assert patient["cap_rejections"] > 0
+    for counts in (patient, impatient):
+        assert counts["arrivals"] >= counts["cap_rejections"] + counts["still_waiting"]
+        assert counts["still_waiting"] > 0
 
 
 def test_preset_rejects_bad_scale(tmp_path, capsys):

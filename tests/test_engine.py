@@ -1,11 +1,12 @@
 """Simulator behavior: determinism, conservation, flow balance, regime hooks
 and agreement between the isolated queue and its stationary law."""
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sliceq.controller import PendingRequest
@@ -34,13 +35,12 @@ from sliceq.errors import InvalidInputError
 from sliceq.queueing import QueueParams, impatient_pmf
 from sliceq.tenants import (
     KnowledgeRegime,
-    expected_wait,
-    renege_full,
+    critical_rate,
     renege_position,
     renege_serving_rate,
 )
 
-from helpers import tv_from_dict
+from helpers import expected_wait, renege_full, tv_from_dict
 
 DEMO = demo_scenario()
 DEMO_REGION = enumerate_regions(DEMO)
@@ -423,6 +423,37 @@ def test_greedy_single_queue_run_is_pinned(kind, queue_cap, reneges, digest):
     assert _records_sha256(m) == digest
 
 
+def test_serving_rate_renege_run_is_pinned():
+    # the benchmark's serving_rate runs never renege, so no digest guards
+    # the exact path that the critical-rate filter falls back to; this run
+    # takes it and reneges
+    strat = random_strategy(DEMO_REGION, substream(1, 0, 999))
+    cfg = SimConfig(horizon=1000, master_seed=1, queue_cap=100,
+                    knowledge=KnowledgeRegime("serving_rate"), initial_state="random_full")
+    m = run_replication(DEMO, strat, cfg, 1, region=DEMO_REGION)
+    assert m.reneges == [4, 0]
+    assert len(m.records) == 16177
+    assert _records_sha256(m) == \
+        "515a9459238963f3ed7006072c72134db0fcdeddc44729ba4527067b439ae34a"
+
+
+@pytest.mark.parametrize("kind", ["serving_rate", "full"])
+def test_free_waiting_runs_without_reneges(kind):
+    # a zero waiting cost rate once divided by zero in the serving-rate rule
+    # as soon as mu was published
+    free = Scenario(resources=DEMO.resources, slice_types=tuple(
+        dataclasses.replace(t, waiting_cost_rate=0.0) for t in DEMO.slice_types))
+    region = enumerate_regions(free)
+    cfg = SimConfig(horizon=60.0, master_seed=2, queue_cap=50,
+                    knowledge=KnowledgeRegime(kind), initial_state="random_full")
+    m = run_replication(free, naive_strategy(region, [2, 1, 0]), cfg, 0, region=region)
+    assert min(m.queued_accepts) >= engine.MIN_SERVICE_OBSERVATIONS
+    assert m.reneges == [0, 0]
+    assert m.balks == [0, 0]
+    assert sum(m.still_waiting) > 0
+    assert m.conservation_ok()
+
+
 @pytest.mark.parametrize("tag, scale", [
     (TAG_ARRIVAL + 1, 1.0 / DEMO.slice_types[1].arrival_rate),
     (TAG_LIFETIME, DEMO.slice_types[0].mean_lifetime),
@@ -464,10 +495,16 @@ def _rescan_from_head(sim, i):
 
 
 def _assert_columns_in_step(sim):
-    assert len(sim.values) == len(sim.cost_rates) == len(sim.ctrl.queues)
-    for queue, values, cost_rates in zip(sim.ctrl.queues, sim.values, sim.cost_rates):
+    # only the serving_rate and full re-decisions read a critical-rate bound
+    assert (sim.bounds is None) == (sim.config.knowledge.kind not in ("serving_rate", "full"))
+    bounds = sim.bounds or [math.inf] * len(sim.ctrl.queues)
+    assert len(sim.values) == len(sim.cost_rates) == len(bounds) == len(sim.ctrl.queues)
+    for queue, values, cost_rates, bound in zip(sim.ctrl.queues, sim.values,
+                                                sim.cost_rates, bounds):
         assert list(values) == [r.profit_rate * r.lifetime for r in queue]
         assert list(cost_rates) == [r.waiting_cost_rate for r in queue]
+        assert bound >= max((critical_rate(k, r.waiting_cost_rate, r.profit_rate * r.lifetime)
+                             for k, r in enumerate(queue, start=1)), default=0.0)
 
 
 @pytest.mark.parametrize("kind, gate_open", [("position", False), ("serving_rate", False),
@@ -483,47 +520,13 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
                  profit_rate=data.draw(st.floats(0.1, 10.0)),
                  waiting_cost_rate=data.draw(st.floats(0.1, 10.0)),
                  enter_time=data.draw(st.floats(0.0, now)),
-                 extra_length=data.draw(st.integers(0, 4)),
-                 delta_k=data.draw(st.integers(1, 3))) for _ in range(n)]
-    queued_accepts = data.draw(st.integers(engine.MIN_SERVICE_OBSERVATIONS - 2, 40))
-    busy_time = data.draw(st.floats(0.1, 100.0))
-    lengths = data.draw(st.lists(st.tuples(st.floats(0.01, 20.0), st.integers(0, 45)),
-                                 max_size=20))
-    renege_positions = data.draw(st.lists(
-        st.integers(1, 45), min_size=engine.MIN_SERVICE_OBSERVATIONS if gate_open else 0,
-        max_size=30 if gate_open else engine.MIN_SERVICE_OBSERVATIONS - 1))
+                 entry_queue_length=k + data.draw(st.integers(0, 4)),
+                 regime=KnowledgeRegime(kind, delta_k=data.draw(st.integers(1, 3))))
+            for k in range(1, n + 1)]
+    published = _draw_published_stats(data, gate_open, engine.MIN_SERVICE_OBSERVATIONS - 2)
 
-    def build():
-        cfg = SimConfig(horizon=1000.0, knowledge=KnowledgeRegime(kind))
-        sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [1, 2, 0]),
-                                 cfg, 0, region=DEMO_REGION, single_queue=single)
-        sim.now = now
-        i = sim.ctrl.queue_index[slice_type - 1]
-        stats = sim.stats[i]
-        for dt, length in lengths:
-            stats.elapse(dt, length)
-        for pos in renege_positions:
-            stats.note_renege(pos)
-        stats.queued_accepts, stats.busy_time = queued_accepts, busy_time
-        queue = sim.ctrl.queues[i]
-        for k, r in enumerate(reqs, start=1):
-            req = PendingRequest(request_id=k, slice_type=slice_type,
-                                 enter_time=r["enter_time"], lifetime=r["lifetime"],
-                                 issue_cost=0.0, waiting_cost_rate=r["waiting_cost_rate"],
-                                 profit_rate=r["profit_rate"],
-                                 regime=KnowledgeRegime(kind, delta_k=r["delta_k"]),
-                                 entry_queue_length=k + r["extra_length"])
-            queue.append(req)
-            sim.values[i].append(req.profit_rate * req.lifetime)
-            sim.cost_rates[i].append(req.waiting_cost_rate)
-        reneged = []
-        renege = sim._renege
-        sim._renege = lambda i, req, pos: (reneged.append((req.request_id, pos)),
-                                           renege(i, req, pos))
-        return sim, reneged, i
-
-    sim, got, i = build()
-    ref, want, _ = build()
+    sim, i, got = _queue_simulation(kind, single, slice_type, published, reqs, now)
+    ref, _, want = _queue_simulation(kind, single, slice_type, published, reqs, now)
     stats = sim.stats[i]
     assert (stats.renege_total >= engine.MIN_SERVICE_OBSERVATIONS) == gate_open
     sim._reevaluate_queue(i)
@@ -532,6 +535,47 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
     assert [r.request_id for r in sim.ctrl.queues[i]] == \
         [r.request_id for r in ref.ctrl.queues[i]]
     _assert_columns_in_step(sim)
+
+
+def _draw_published_stats(data, gate_open, min_accepts=engine.MIN_SERVICE_OBSERVATIONS):
+    """Operator statistics for one queue; below ``MIN_SERVICE_OBSERVATIONS``
+    queued acceptances mu is unpublished."""
+    return dict(
+        lengths=data.draw(st.lists(st.tuples(st.floats(0.01, 20.0), st.integers(0, 45)),
+                                   max_size=20)),
+        renege_positions=data.draw(st.lists(
+            st.integers(1, 45), min_size=engine.MIN_SERVICE_OBSERVATIONS if gate_open else 0,
+            max_size=30 if gate_open else engine.MIN_SERVICE_OBSERVATIONS - 1)),
+        queued_accepts=data.draw(st.integers(min_accepts, 40)),
+        busy_time=data.draw(st.floats(0.1, 100.0)),
+    )
+
+
+def _queue_simulation(kind, single, slice_type, published, requests, now=0.0):
+    """A fresh simulation whose queue for ``slice_type`` publishes the drawn
+    statistics and holds ``requests`` (``PendingRequest`` fields), entered
+    through the join helper. Returns it, that queue's index and the list its
+    reneges are recorded in."""
+    cfg = SimConfig(horizon=1000.0, queue_cap=None, knowledge=KnowledgeRegime(kind))
+    sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [1, 2, 0]),
+                             cfg, 0, region=DEMO_REGION, single_queue=single)
+    sim.now = now
+    i = sim.ctrl.queue_index[slice_type - 1]
+    stats = sim.stats[i]
+    for dt, length in published["lengths"]:
+        stats.elapse(dt, length)
+    for pos in published["renege_positions"]:
+        stats.note_renege(pos)
+    stats.queued_accepts, stats.busy_time = published["queued_accepts"], published["busy_time"]
+    for k, fields in enumerate(requests, start=1):
+        req = PendingRequest(request_id=k, slice_type=slice_type, issue_cost=0.0, **fields)
+        sim.ctrl.queues[i].append(req)
+        sim._join(i, req)
+    reneged = []
+    renege = sim._renege
+    sim._renege = lambda i, req, pos: (reneged.append((req.request_id, pos)),
+                                       renege(i, req, pos))
+    return sim, i, reneged
 
 
 @pytest.mark.parametrize("queue_cap", [100, None])
@@ -547,3 +591,144 @@ def test_value_columns_stay_in_step(kind, queue_cap):
     m = sim.run()
     assert sum(m.still_waiting) > 0
     _assert_columns_in_step(sim)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+def _draw_queue_length(data):
+    """A short queue, or a long uncapped one; long queues run under the
+    filter's real length guard or under one they exceed."""
+    if data.draw(st.booleans()):
+        return data.draw(st.integers(0, 40)), engine.MAX_FILTER_LENGTH
+    return data.draw(st.integers(60, 150)), data.draw(
+        st.sampled_from([engine.MAX_FILTER_LENGTH, 50]))
+
+
+@pytest.mark.parametrize("kind, gate_open", [("serving_rate", False), ("serving_rate", True),
+                                             ("full", False), ("full", True)])
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_filtered_reevaluation_equals_rescan_near_ties(kind, gate_open, data):
+    # up to three critical rates k*u/value placed within a few ulps of mu,
+    # of the filter's cut mu / FILTER_SLACK or, for full tenants, of the
+    # exact wait's threshold, behind requests that surely stay; every
+    # decision must be the unfiltered rule's
+    single = data.draw(st.booleans())
+    slice_type = 1 if single else data.draw(st.integers(1, 2))
+    published = _draw_published_stats(data, gate_open)
+    n, guard = _draw_queue_length(data)
+    n = max(n, 1)
+    accepted = data.draw(st.integers(0, min(3, n - 1)))
+    near = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    probe, i, _ = _queue_simulation(kind, single, slice_type, published, [])
+    mu = probe.stats[i].service_rate()
+    ew = probe.stats[i].expected_wait_vector(mu, n)
+    reqs = []
+    for idx in range(n):
+        k = max(idx + 1 - accepted, 1)  # the position at the re-decision
+        profit_rate = data.draw(st.floats(0.1, 10.0))
+        u = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+        if u == 0.0:
+            lifetime = data.draw(st.floats(0.01, 60.0))
+        elif idx in near:
+            targets = [k * u / mu, k * u * engine.FILTER_SLACK / mu]
+            if kind == "full":
+                targets.append(u * ew[k])
+            value = data.draw(st.sampled_from(targets))
+            lifetime = _nudge(value / profit_rate, data.draw(st.integers(-4, 4)))
+        else:
+            lifetime = k * u / (mu * data.draw(st.floats(0.05, 0.95))) / profit_rate
+        reqs.append(dict(lifetime=lifetime, profit_rate=profit_rate, waiting_cost_rate=u,
+                         enter_time=0.0, entry_queue_length=idx + 1,
+                         regime=KnowledgeRegime(kind)))
+
+    sim, i, got = _queue_simulation(kind, single, slice_type, published, reqs)
+    ref, _, want = _queue_simulation(kind, single, slice_type, published, reqs)
+    for x in (sim, ref):  # acceptances leave the bound as it was
+        for _ in range(accepted):
+            x.ctrl.queues[i].popleft()
+            x.values[i].popleft()
+            x.cost_rates[i].popleft()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_FILTER_LENGTH", guard)
+        sim._reevaluate_queue(i)
+    _rescan_from_head(ref, i)
+    assert got == want
+    assert [r.request_id for r in sim.ctrl.queues[i]] == \
+        [r.request_id for r in ref.ctrl.queues[i]]
+    _assert_columns_in_step(sim)
+
+
+@pytest.mark.parametrize("kind, gate_open", [("serving_rate", False), ("full", False),
+                                             ("full", True)])
+def test_filter_agrees_with_the_rules_a_few_ulps_from_mu(kind, gate_open):
+    # one deciding request per trial, behind free-waiting ones, with its
+    # critical rate a few ulps either side of mu: rounding flips the rules'
+    # outcome there about once in four hundred filter-passing trials
+    rng = np.random.default_rng(12)
+    published = dict(lengths=[(5.0, 30)], queued_accepts=engine.MIN_SERVICE_OBSERVATIONS,
+                     renege_positions=list(range(1, 11)) if gate_open else [], busy_time=1.0)
+    sim, i, _ = _queue_simulation(kind, False, 1, published, [])
+    stats, queue = sim.stats[i], sim.ctrl.queues[i]
+    counts = list(stats.renege_counts)
+    free = [PendingRequest(request_id=0, slice_type=1, enter_time=0.0, lifetime=1.0,
+                           issue_cost=0.0, waiting_cost_rate=0.0, profit_rate=1.0)] * 30
+    for _ in range(20_000):
+        stats.busy_time = rng.uniform(0.1, 100.0)
+        mu = stats.service_rate()
+        k = int(rng.integers(1, 31))
+        u, profit_rate = rng.uniform(0.1, 10.0, size=2)
+        lifetime = _nudge(k * u / mu / profit_rate, int(rng.integers(-4, 5)))
+        req = PendingRequest(request_id=1, slice_type=1, enter_time=0.0, lifetime=lifetime,
+                             issue_cost=0.0, waiting_cost_rate=u, profit_rate=profit_rate)
+        if kind == "serving_rate":
+            want = renege_serving_rate(req, k, mu)
+        else:
+            want = renege_full(req, k, mu, stats.renege_rates(k))
+        for r in free[:k - 1] + [req]:
+            queue.append(r)
+            sim._join(i, r)
+        sim._reevaluate_queue(i)
+        assert req.done != want
+        queue.clear()
+        sim.values[i].clear()
+        sim.cost_rates[i].clear()
+        sim.bounds[i] = 0.0
+        stats.renege_counts, stats.renege_total = list(counts), sum(counts)
+
+
+@pytest.mark.parametrize("gate_open", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_filtered_full_entrance_equals_expected_wait_formula(gate_open, data):
+    # value - issue_cost placed within a few ulps of u*L/mu, of the filter's
+    # cuts on either side of it and of u*ew[L]
+    single = data.draw(st.booleans())
+    slice_type = 1 if single else data.draw(st.integers(1, 2))
+    published = _draw_published_stats(data, gate_open)
+    n, guard = _draw_queue_length(data)
+    length = n + 1
+    sim, i, _ = _queue_simulation("full", single, slice_type, published, [])
+    stats = sim.stats[i]
+    mu = stats.service_rate()
+    ew = stats.expected_wait_vector(mu, length)
+    profit_rate = data.draw(st.floats(0.1, 10.0))
+    issue_cost = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    u = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+    wait_cost = u * length / mu
+    surplus = data.draw(st.sampled_from([wait_cost, wait_cost * engine.FILTER_SLACK,
+                                         wait_cost / engine.FILTER_SLACK, u * ew[length]]))
+    lifetime = _nudge((surplus + issue_cost) / profit_rate, data.draw(st.integers(-4, 4)))
+    assume(lifetime > 0)
+    req = PendingRequest(request_id=1, slice_type=slice_type, enter_time=0.0,
+                         lifetime=lifetime, issue_cost=issue_cost, waiting_cost_rate=u,
+                         profit_rate=profit_rate, regime=KnowledgeRegime("full"))
+    want = profit_rate * lifetime - issue_cost - u * ew[length] >= 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_FILTER_LENGTH", guard)
+        assert sim._entrance_joins(req, [None] * n) == want

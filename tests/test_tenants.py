@@ -12,14 +12,15 @@ from sliceq.tenants import (
     LifetimeDistribution,
     balk_decision,
     balking_chance,
+    critical_rate,
     end_profit,
-    expected_wait,
     renege_avg_wait,
     renege_blind,
-    renege_full,
     renege_position,
     renege_serving_rate,
 )
+
+from helpers import expected_wait, renege_full
 
 
 def _req(lifetime=5.0, issue_cost=0.0, u=1.0, zeta=8.0):
@@ -144,6 +145,26 @@ def test_renege_serving_rate_examples():
     assert renege_serving_rate(req, 0, 1.0)
     # enormous waiting cost: renege at any queued position
     assert not renege_serving_rate(_req(u=1e9), 1, 1.0)
+
+
+def test_free_waiting_always_stays():
+    # a zero waiting cost rate once divided by zero in the serving-rate rule
+    req = _req(u=0.0)
+    assert renege_serving_rate(req, 10**6, 1e-9)
+    assert renege_position(req, 1, 1, 1e9, 1)[0]
+    assert math.isinf(renege_blind(req, 1.0))
+    assert critical_rate(10**6, 0.0, 40.0) == 0.0
+
+
+def test_critical_rate_is_the_stay_threshold():
+    req = _req(lifetime=5, zeta=8, u=1.5)  # value 40
+    for k in (1, 20, 26, 27, 80):
+        mu = critical_rate(k, 1.5, 40.0)
+        assert mu == pytest.approx(k * 1.5 / 40.0)
+        assert renege_serving_rate(req, k, mu * 1.001)
+        assert not renege_serving_rate(req, k, mu * 0.999)
+        assert renege_full(req, k, mu * 1.001, [0.0] + [0.5] * k)
+    assert critical_rate(3, 1.0, 0.0) == math.inf
 
 
 def test_regime_dominance():
