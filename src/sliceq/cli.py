@@ -171,15 +171,16 @@ def cmd_fit(args) -> int:
     rows = []
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
-        if args.column not in (reader.fieldnames or []):
-            raise InvalidInputError(
-                f"column {args.column!r} not in {args.input}: {reader.fieldnames}"
-            )
+        columns = reader.fieldnames or []
+        if args.column not in columns:
+            raise InvalidInputError(f"column {args.column!r} not in {args.input}: {columns}")
+        if args.where is not None:
+            key, sep, expected = args.where.partition("=")
+            if not sep or key not in columns:
+                raise InvalidInputError(f"--where must be column=value, column in {columns}")
         for row in reader:
-            if args.where:
-                key, _, expected = args.where.partition("=")
-                if row.get(key) != expected:
-                    continue
+            if args.where is not None and row[key] != expected:
+                continue
             cell = row[args.column]
             if cell != "":
                 rows.append(float(cell))
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["geometric", "exponential"],
                    default="geometric")
     p.add_argument("--where", default=None,
-                   help="filter rows, e.g. disposition=reneged")
+                   help="keep only rows matching column=value, e.g. disposition=reneged")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("markov", help="embedded-chain strategy evaluation")

@@ -19,7 +19,6 @@ from enum import Enum
 
 from .core import RegionIndex, Strategy
 from .errors import InvalidInputError, ProtocolViolationError
-from .tenants import KnowledgeRegime
 
 
 class Disposition(Enum):
@@ -40,10 +39,8 @@ class PendingRequest:
     issue_cost: float
     waiting_cost_rate: float
     profit_rate: float
-    regime: KnowledgeRegime | None = None
     entry_queue_length: int = 0
-    # engine bookkeeping: invalidates stale renege-deadline events
-    deadline_token: int = field(default=0, repr=False)
+    # set once the request is accepted or reneges
     done: bool = field(default=False, repr=False)
 
     def __post_init__(self):

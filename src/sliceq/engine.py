@@ -18,7 +18,6 @@ counterpart in the admission loop.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +34,7 @@ from .controller import (
 )
 from .core import RegionIndex, Scenario, Strategy, enumerate_regions
 from .errors import InvalidInputError
-from .fitting import EMPTY_PROFIT_SUMMARY, profit_summary
+from .fitting import profit_summary
 from .queueing import QueueParams
 from .tenants import (
     KnowledgeRegime,
@@ -272,6 +271,69 @@ class _QueueStats:
         return ew
 
 
+# -- knowledge regimes --------------------------------------------------------
+# A run reads its regime once into two rules, plain functions so that a run is
+# no reference cycle. The entrance rule (req, stats, length) says whether an
+# arriving tenant joins at ``length``, itself included; the stay rule
+# (sim, i, mu) gives the predicate (req, position) -> stays for one
+# re-decision of queue ``i``. ``None`` means always join, or never re-decide.
+# The rules call the ``tenants`` function whose arguments are what the
+# regime's tenant may see; full knowledge weighs the expected wait in place.
+
+
+def _joins_on_mean_wait(req, stats: _QueueStats, length: int) -> bool:
+    return renege_avg_wait(req, stats.mean_accepted_wait())
+
+
+def _joins_on_serving_rate(req, stats: _QueueStats, length: int) -> bool:
+    mu = stats.service_rate()
+    return mu is None or balk_decision(req, length, mu)
+
+
+def _joins_on_expected_wait(req, stats: _QueueStats, length: int) -> bool:
+    mu = stats.service_rate()
+    if mu is None:
+        return True
+    surplus = req.profit_rate * req.lifetime - req.issue_cost
+    if length <= MAX_FILTER_LENGTH:
+        # ew[length] <= length/mu, equal up to rounding while renege rates are gated
+        cost = req.waiting_cost_rate * length / mu
+        if surplus >= cost * FILTER_SLACK:
+            return True
+        if surplus * FILTER_SLACK < cost and stats.renege_total < MIN_SERVICE_OBSERVATIONS:
+            return False
+    ew = stats.expected_wait_vector(mu, length)
+    return surplus - req.waiting_cost_rate * ew[length] >= 0.0
+
+
+def _stays_on_progress(sim, i: int, mu):
+    # re-decided at position changes only: between departures the sunk time
+    # keeps growing but the tenant acts on the progress it has actually seen
+    now, delta_k = sim.now, sim.config.knowledge.delta_k
+    return lambda req, pos: renege_position(req, pos, req.entry_queue_length,
+                                            now - req.enter_time, delta_k)[0]
+
+
+def _stays_on_serving_rate(sim, i: int, mu):
+    return lambda req, pos: renege_serving_rate(req, pos, mu)
+
+
+def _stays_on_expected_wait(sim, i: int, mu):
+    ew = sim.stats[i].expected_wait_vector(mu, len(sim.ctrl.queues[i]))
+    return lambda req, pos: req.profit_rate * req.lifetime - req.waiting_cost_rate * ew[pos] >= 0.0
+
+
+# knowledge regime -> (entrance rule, stay rule)
+_REGIME_RULES = {
+    "patient": (None, None),
+    "blind": (None, None),
+    "position": (None, _stays_on_progress),
+    "avg_wait": (_joins_on_mean_wait, None),
+    "serving_rate": (_joins_on_serving_rate, _stays_on_serving_rate),
+    "full": (_joins_on_expected_wait, _stays_on_expected_wait),
+}
+
+
 class _Simulation:
     """One replication: the multi-queue controller or, with ``single_queue``,
     the greedy single mixed queue, which ignores ``strategy``."""
@@ -305,14 +367,13 @@ class _Simulation:
         self.queue_index = self.ctrl.queue_index
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
-        # per queue, in queue order: each request's profit_rate * lifetime
-        # and waiting_cost_rate, for the full-knowledge re-decision; and,
-        # for the two regimes that read it, a bound above each waiting
-        # request's critical rate
-        self.values = [deque() for _ in range(n_queues)]
-        self.cost_rates = [deque() for _ in range(n_queues)]
-        filtered = config.knowledge.kind in ("serving_rate", "full")
-        self.bounds = [0.0] * n_queues if filtered else None
+        kind = config.knowledge.kind
+        self.entrance_rule, self.stay_rule = _REGIME_RULES[kind]
+        # blind tenants renege at a waiting budget fixed when they join
+        self.risk_factor = config.knowledge.risk_factor if kind == "blind" else None
+        # per queue, for the two stay rules it screens: a bound above each
+        # waiting request's critical rate
+        self.bounds = [0.0] * n_queues if kind in ("serving_rate", "full") else None
 
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
@@ -398,94 +459,45 @@ class _Simulation:
     # -- tenant decisions --------------------------------------------------
 
     def _entrance_joins(self, req: PendingRequest, queue) -> bool:
-        kind = req.regime.kind
-        if kind in ("patient", "blind", "position"):
-            return True
-        stats = self.stats[self.queue_index[req.slice_type - 1]]
-        if kind == "avg_wait":
-            return renege_avg_wait(req, stats.mean_accepted_wait())
-        mu = stats.service_rate()
-        if mu is None:
-            return True
-        length = len(queue) + 1
-        if kind == "serving_rate":
-            return balk_decision(req, length, mu)
-        surplus = req.profit_rate * req.lifetime - req.issue_cost
-        if length <= MAX_FILTER_LENGTH:
-            # ew[length] <= length/mu, equal up to rounding while renege rates are gated
-            cost = req.waiting_cost_rate * length / mu
-            if surplus >= cost * FILTER_SLACK:
-                return True
-            if surplus * FILTER_SLACK < cost and stats.renege_total < MIN_SERVICE_OBSERVATIONS:
-                return False
-        ew = stats.expected_wait_vector(mu, length)
-        return surplus - req.waiting_cost_rate * ew[length] >= 0.0
+        return self.entrance_rule(req, self.stats[self.queue_index[req.slice_type - 1]],
+                                  len(queue) + 1)
 
     def _reevaluate_queue(self, i: int) -> None:
-        """Let every position-aware tenant waiting in queue ``i`` re-decide;
-        cascades until no one reneges."""
-        kind = self.config.knowledge.kind
-        if kind in ("patient", "avg_wait", "blind"):
+        """Let every tenant waiting in queue ``i`` re-decide; cascades until no
+        one reneges."""
+        if self.stay_rule is None:
             return
         queue = self.ctrl.queues[i]
-        stats = self.stats[i]
-        mu = stats.service_rate()
-        if kind != "position" and (mu is None or (mu > self.bounds[i] * FILTER_SLACK
-                                                  and len(queue) <= MAX_FILTER_LENGTH)):
+        mu = self.stats[i].service_rate()
+        if self.bounds is not None and (mu is None or (mu > self.bounds[i] * FILTER_SLACK
+                                                       and len(queue) <= MAX_FILTER_LENGTH)):
             return
-        if kind == "full":
-            # a renege moves the published renege rates, so every renege is
-            # followed by one comparison over the whole queue
-            while queue:
-                n = len(queue)
-                ew = stats.expected_wait_vector(mu, n)
-                value = np.fromiter(self.values[i], float, n)
-                cost_rate = np.fromiter(self.cost_rates[i], float, n)
-                leaves = value - cost_rate * ew[1:] < 0.0
-                if not leaves.any():
-                    break
-                pos = int(leaves.argmax()) + 1
-                self._renege(i, queue[pos - 1], pos)
-        else:
-            # a renege at p leaves the requests ahead of p, their entry
-            # lengths, now and mu as they were, so one pass that goes on
-            # behind each renege decides as a rescan from the head would
-            leaving = []
-            for pos, req in enumerate(queue, start=1):
-                pos -= len(leaving)
-                if kind == "position":
-                    # re-decided at position changes only: between
-                    # departures the sunk time keeps growing but the tenant
-                    # acts on the progress it has actually observed
-                    stays = renege_position(req, pos, req.entry_queue_length,
-                                            self.now - req.enter_time,
-                                            req.regime.delta_k)[0]
-                else:
-                    stays = renege_serving_rate(req, pos, mu)
-                if not stays:
-                    leaving.append((req, pos))
-            for req, pos in leaving:
+        # A renege at p leaves the requests ahead of p, now and mu as they
+        # were; it raises the published renege rate at p alone, or opens their
+        # gate, so ew[1..p] can only fall (rounding is monotone). So a pass that
+        # goes on behind each renege, with the stay rule built again, decides
+        # as a rescan from the head would.
+        stays = self.stay_rule(self, i, mu)
+        pos = 1
+        for req in list(queue):
+            if stays(req, pos):
+                pos += 1
+            else:
                 self._renege(i, req, pos)
-            if kind == "position":
-                return
-        self.bounds[i] = max(map(critical_rate, itertools.count(1), self.cost_rates[i],
-                                 self.values[i]), default=0.0)
+                stays = self.stay_rule(self, i, mu)
+        if self.bounds is not None:
+            self.bounds[i] = max((critical_rate(k, r.waiting_cost_rate, r.profit_rate * r.lifetime)
+                                  for k, r in enumerate(queue, start=1)), default=0.0)
 
     def _join(self, i: int, req: PendingRequest) -> None:
-        """Enter a request that joined queue ``i`` in its columns and bound."""
-        value = req.profit_rate * req.lifetime
-        self.values[i].append(value)
-        self.cost_rates[i].append(req.waiting_cost_rate)
+        """Raise queue ``i``'s critical-rate bound for a request that joined it."""
         if self.bounds is not None and not req.done:
             self.bounds[i] = max(self.bounds[i], critical_rate(
-                len(self.ctrl.queues[i]), req.waiting_cost_rate, value))
+                len(self.ctrl.queues[i]), req.waiting_cost_rate, req.profit_rate * req.lifetime))
 
     def _renege(self, i: int, req: PendingRequest, position: int) -> None:
         del self.ctrl.queues[i][position - 1]
-        del self.values[i][position - 1]
-        del self.cost_rates[i][position - 1]
         req.done = True
-        req.deadline_token += 1
         self.stats[i].note_renege(position)
         t = req.slice_type - 1
         wait = self.now - req.enter_time
@@ -504,7 +516,6 @@ class _Simulation:
     def _accept(self, req: PendingRequest) -> None:
         t = req.slice_type - 1
         wait = self.now - req.enter_time
-        req.deadline_token += 1
         self.metrics.acceptances[t] += 1
         self._schedule_release(req.slice_type, req.lifetime)
         self.stats[self.queue_index[t]].note_accept(wait)
@@ -520,15 +531,14 @@ class _Simulation:
             request_id=self._next_id, slice_type=t + 1, enter_time=self.now,
             lifetime=next(self.lifetimes[t]),
             issue_cost=st.issue_cost, waiting_cost_rate=st.waiting_cost_rate,
-            profit_rate=st.profit_rate, regime=self.config.knowledge,
+            profit_rate=st.profit_rate,
         )
         self._next_id += 1
         self.metrics.arrivals[t] += 1
         self._emit("request", req.slice_type, req.request_id)
 
-        disposition, accepted = on_request(
-            self.ctrl, self.strategy, req, self._entrance_joins
-        )
+        joins = None if self.entrance_rule is None else self._entrance_joins
+        disposition, accepted = on_request(self.ctrl, self.strategy, req, joins)
 
         if disposition is Disposition.BALKED:
             self.metrics.balks[t] += 1
@@ -543,22 +553,17 @@ class _Simulation:
 
         self.metrics.joined[t] += 1
         self._join(self.queue_index[t], req)
-        if req.regime.kind == "blind" and not req.done:
-            t_max = renege_blind(req, req.regime.risk_factor)
+        if self.risk_factor is not None and not req.done:
+            t_max = renege_blind(req, self.risk_factor)
             if math.isfinite(t_max):
-                req.deadline_token += 1
-                self._push(self.now + t_max, PRIO_DEADLINE, "deadline",
-                           (req, req.deadline_token))
+                self._push(self.now + t_max, PRIO_DEADLINE, "deadline", req)
         self._after_acceptances(accepted)
 
     def _after_acceptances(self, accepted: list[PendingRequest]) -> None:
         touched = set()
         for a in accepted:
-            i = self.queue_index[a.slice_type - 1]
-            self.values[i].popleft()
-            self.cost_rates[i].popleft()
             self._accept(a)
-            touched.add(i)
+            touched.add(self.queue_index[a.slice_type - 1])
         for i in touched:
             self._reevaluate_queue(i)
 
@@ -566,11 +571,11 @@ class _Simulation:
         self._emit("release", slice_type, None)
         self._after_acceptances(on_release(self.ctrl, self.strategy, slice_type))
 
-    def _handle_deadline(self, payload) -> None:
-        req, token = payload
-        if req.done or token != req.deadline_token:
+    def _handle_deadline(self, req: PendingRequest) -> None:
+        # a request has at most one deadline, and one that is not done still
+        # waits in its queue
+        if req.done:
             return
-        # a request that is not done still waits in its queue
         i = self.queue_index[req.slice_type - 1]
         position = next(p for p, r in enumerate(self.ctrl.queues[i], start=1) if r is req)
         self._renege(i, req, position)
@@ -784,8 +789,7 @@ def summarize_run(metrics: RunMetrics, scenario: Scenario) -> dict:
     waits = [r.wait for r in metrics.records if r.disposition in ("accepted", "reneged")]
     row["mean_wait_joined"] = float(np.mean(waits)) if waits else 0.0
 
-    table = profit_summary(metrics.records)
-    summaries = [table.get(t + 1, EMPTY_PROFIT_SUMMARY) for t in range(metrics.n_types)]
+    summaries = list(profit_summary(metrics.records, metrics.n_types).values())
     for t, s in enumerate(summaries):
         row[f"total_profit_{t + 1}"] = s["total_profit"]
         row[f"mean_profit_{t + 1}"] = s["mean_profit"]

@@ -132,45 +132,31 @@ def fit_success(fit: FitResult) -> bool:
     )
 
 
-def profit_summary(records) -> dict[int, dict]:
-    """Per-type end-profit summary over issued requests.
+def profit_summary(records, n_types: int) -> dict[int, dict]:
+    """End-profit summary over issued requests for each slice type 1..n_types.
 
     Balked and capacity-rejected requests never issued, so they are excluded;
     reneged ones count with their losses. Requests still waiting at the end
-    of a run carry no realized profit and are skipped too.
+    of a run carry no realized profit and are skipped too. A type that issued
+    nothing gets zeros and an explicit empty marker.
     """
-    by_type: dict[int, list[float]] = {}
+    by_type: dict[int, list[float]] = {t: [] for t in range(1, n_types + 1)}
     for r in records:
         if r.end_profit is None or r.disposition not in ("accepted", "reneged"):
             continue
-        by_type.setdefault(r.slice_type, []).append(r.end_profit)
+        by_type[r.slice_type].append(r.end_profit)
     out = {}
-    for t, profits in sorted(by_type.items()):
+    for t, profits in by_type.items():
         n = len(profits)
         total = float(np.sum(profits))
         out[t] = {
             "n_issued": n,
             "total_profit": total,
-            "mean_profit": total / n,
-            "profiting_chance": sum(1 for p in profits if p > 0) / n,
-            "empty": False,
+            "mean_profit": total / n if n else 0.0,
+            "profiting_chance": sum(1 for p in profits if p > 0) / n if n else 0.0,
+            "empty": n == 0,
         }
     return out
-
-
-# the summary of a type that issued nothing
-EMPTY_PROFIT_SUMMARY = {
-    "n_issued": 0,
-    "total_profit": 0.0,
-    "mean_profit": 0.0,
-    "profiting_chance": 0.0,
-    "empty": True,
-}
-
-
-def profit_summary_or_empty(records, slice_type: int) -> dict:
-    """Summary for one type, with an explicit empty marker when nothing issued."""
-    return profit_summary(records).get(slice_type, dict(EMPTY_PROFIT_SUMMARY))
 
 
 def floor_binned(values) -> np.ndarray:

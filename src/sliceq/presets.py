@@ -24,7 +24,7 @@ from .fitting import (
     fit_geometric,
     fit_success,
     floor_binned,
-    profit_summary_or_empty,
+    profit_summary,
 )
 from .markov import strategy_search
 from .tenants import KnowledgeRegime
@@ -115,18 +115,16 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
             metrics = run_replication(scenario, strat, cfg, replication=i,
                                       region=region)
             pooled.extend(metrics.records)
-            for t in range(scenario.n_types):
-                s = profit_summary_or_empty(metrics.records, t + 1)
+            for t, s in profit_summary(metrics.records, scenario.n_types).items():
                 detail_rows.append([
-                    regime_name, i, t + 1, s["n_issued"],
+                    regime_name, i, t, s["n_issued"],
                     f"{s['total_profit']:.6g}", f"{s['mean_profit']:.6g}",
                     f"{s['profiting_chance']:.6g}",
                 ])
             if progress:
                 progress(f"table3 {regime_name} strategy {i + 1}/{n_strat}")
         row = [regime_name]
-        for t in range(scenario.n_types):
-            s = profit_summary_or_empty(pooled, t + 1)
+        for s in profit_summary(pooled, scenario.n_types).values():
             row += [
                 f"{s['total_profit']:.6g}", f"{s['mean_profit']:.6g}",
                 f"{s['profiting_chance']:.6g}", s["n_issued"],

@@ -172,6 +172,18 @@ def test_fit_missing_column_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["a", "zzz=1", "=1"])
+def test_fit_rejects_a_where_filter_without_a_column(tmp_path, capsys, where):
+    # such a filter once dropped every row and reported an empty sample
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n" + "1,2\n" * 20)
+    code, out, err = _run(capsys, "fit", "--input", str(path), "--column", "b",
+                          "--where", where)
+    assert code == 2
+    assert "column=value" in err
+    assert out == ""
+
+
 def test_markov_command(capsys):
     code, out, _ = _run(capsys, "markov", "--scenario", "builtin:demo",
                         "--strategy", "naive:2,1,0", "--seed", "2")

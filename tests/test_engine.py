@@ -1,8 +1,10 @@
 """Simulator behavior: determinism, conservation, flow balance, regime hooks
 and agreement between the isolated queue and its stationary law."""
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -471,15 +473,14 @@ def test_block_draws_equal_scalar_draws(tag, scale):
 def _rescan_from_head(sim, i):
     """Reference cascade over queue ``i``: after every renege, re-decide
     from the head."""
-    kind = sim.config.knowledge.kind
+    kind, delta_k = sim.config.knowledge.kind, sim.config.knowledge.delta_k
     queue = sim.ctrl.queues[i]
     stats = sim.stats[i]
     while queue:
         if kind == "position":
             pos = next((pos for pos, req in enumerate(queue, start=1)
                         if not renege_position(req, pos, req.entry_queue_length,
-                                               sim.now - req.enter_time,
-                                               req.regime.delta_k)[0]), 0)
+                                               sim.now - req.enter_time, delta_k)[0]), 0)
         elif (mu := stats.service_rate()) is None:
             return
         elif kind == "serving_rate":
@@ -495,14 +496,13 @@ def _rescan_from_head(sim, i):
 
 
 def _assert_columns_in_step(sim):
-    # only the serving_rate and full re-decisions read a critical-rate bound
+    # the per-queue critical-rate bound is the one column kept in step with
+    # the queues, and only the serving_rate and full re-decisions read it
     assert (sim.bounds is None) == (sim.config.knowledge.kind not in ("serving_rate", "full"))
-    bounds = sim.bounds or [math.inf] * len(sim.ctrl.queues)
-    assert len(sim.values) == len(sim.cost_rates) == len(bounds) == len(sim.ctrl.queues)
-    for queue, values, cost_rates, bound in zip(sim.ctrl.queues, sim.values,
-                                                sim.cost_rates, bounds):
-        assert list(values) == [r.profit_rate * r.lifetime for r in queue]
-        assert list(cost_rates) == [r.waiting_cost_rate for r in queue]
+    if sim.bounds is None:
+        return
+    assert len(sim.bounds) == len(sim.ctrl.queues)
+    for queue, bound in zip(sim.ctrl.queues, sim.bounds):
         assert bound >= max((critical_rate(k, r.waiting_cost_rate, r.profit_rate * r.lifetime)
                              for k, r in enumerate(queue, start=1)), default=0.0)
 
@@ -516,17 +516,17 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
     slice_type = 1 if single else data.draw(st.integers(1, 2))
     now = data.draw(st.floats(0.0, 100.0))
     n = data.draw(st.integers(1, 40))
+    delta_k = data.draw(st.integers(1, 3))
     reqs = [dict(lifetime=data.draw(st.floats(0.01, 60.0)),
                  profit_rate=data.draw(st.floats(0.1, 10.0)),
                  waiting_cost_rate=data.draw(st.floats(0.1, 10.0)),
                  enter_time=data.draw(st.floats(0.0, now)),
-                 entry_queue_length=k + data.draw(st.integers(0, 4)),
-                 regime=KnowledgeRegime(kind, delta_k=data.draw(st.integers(1, 3))))
+                 entry_queue_length=k + data.draw(st.integers(0, 4)))
             for k in range(1, n + 1)]
     published = _draw_published_stats(data, gate_open, engine.MIN_SERVICE_OBSERVATIONS - 2)
 
-    sim, i, got = _queue_simulation(kind, single, slice_type, published, reqs, now)
-    ref, _, want = _queue_simulation(kind, single, slice_type, published, reqs, now)
+    sim, i, got = _queue_simulation(kind, single, slice_type, published, reqs, now, delta_k)
+    ref, _, want = _queue_simulation(kind, single, slice_type, published, reqs, now, delta_k)
     stats = sim.stats[i]
     assert (stats.renege_total >= engine.MIN_SERVICE_OBSERVATIONS) == gate_open
     sim._reevaluate_queue(i)
@@ -551,12 +551,13 @@ def _draw_published_stats(data, gate_open, min_accepts=engine.MIN_SERVICE_OBSERV
     )
 
 
-def _queue_simulation(kind, single, slice_type, published, requests, now=0.0):
+def _queue_simulation(kind, single, slice_type, published, requests, now=0.0, delta_k=2):
     """A fresh simulation whose queue for ``slice_type`` publishes the drawn
     statistics and holds ``requests`` (``PendingRequest`` fields), entered
     through the join helper. Returns it, that queue's index and the list its
     reneges are recorded in."""
-    cfg = SimConfig(horizon=1000.0, queue_cap=None, knowledge=KnowledgeRegime(kind))
+    cfg = SimConfig(horizon=1000.0, queue_cap=None,
+                    knowledge=KnowledgeRegime(kind, delta_k=delta_k))
     sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [1, 2, 0]),
                              cfg, 0, region=DEMO_REGION, single_queue=single)
     sim.now = now
@@ -591,6 +592,26 @@ def test_value_columns_stay_in_step(kind, queue_cap):
     m = sim.run()
     assert sum(m.still_waiting) > 0
     _assert_columns_in_step(sim)
+
+
+@pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
+                                  "serving_rate", "full", "greedy_single"])
+def test_finished_simulation_is_freed_without_the_cycle_collector(kind):
+    # a run that held its rules as bound methods of itself would be a
+    # reference cycle, kept alive until the cycle collector ran
+    single = kind == "greedy_single"
+    cfg = SimConfig(horizon=60.0, master_seed=4, knowledge=KnowledgeRegime(
+        "full" if single else kind, risk_factor=0.1), initial_state="random_full")
+    gc.disable()
+    try:
+        sim = engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [2, 1, 0]),
+                                 cfg, 0, region=DEMO_REGION, single_queue=single)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -644,16 +665,13 @@ def test_filtered_reevaluation_equals_rescan_near_ties(kind, gate_open, data):
         else:
             lifetime = k * u / (mu * data.draw(st.floats(0.05, 0.95))) / profit_rate
         reqs.append(dict(lifetime=lifetime, profit_rate=profit_rate, waiting_cost_rate=u,
-                         enter_time=0.0, entry_queue_length=idx + 1,
-                         regime=KnowledgeRegime(kind)))
+                         enter_time=0.0, entry_queue_length=idx + 1))
 
     sim, i, got = _queue_simulation(kind, single, slice_type, published, reqs)
     ref, _, want = _queue_simulation(kind, single, slice_type, published, reqs)
     for x in (sim, ref):  # acceptances leave the bound as it was
         for _ in range(accepted):
             x.ctrl.queues[i].popleft()
-            x.values[i].popleft()
-            x.cost_rates[i].popleft()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MAX_FILTER_LENGTH", guard)
         sim._reevaluate_queue(i)
@@ -696,8 +714,6 @@ def test_filter_agrees_with_the_rules_a_few_ulps_from_mu(kind, gate_open):
         sim._reevaluate_queue(i)
         assert req.done != want
         queue.clear()
-        sim.values[i].clear()
-        sim.cost_rates[i].clear()
         sim.bounds[i] = 0.0
         stats.renege_counts, stats.renege_total = list(counts), sum(counts)
 
@@ -727,7 +743,7 @@ def test_filtered_full_entrance_equals_expected_wait_formula(gate_open, data):
     assume(lifetime > 0)
     req = PendingRequest(request_id=1, slice_type=slice_type, enter_time=0.0,
                          lifetime=lifetime, issue_cost=issue_cost, waiting_cost_rate=u,
-                         profit_rate=profit_rate, regime=KnowledgeRegime("full"))
+                         profit_rate=profit_rate)
     want = profit_rate * lifetime - issue_cost - u * ew[length] >= 0.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MAX_FILTER_LENGTH", guard)

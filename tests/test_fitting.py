@@ -14,7 +14,6 @@ from sliceq.fitting import (
     floor_binned,
     kld_vs_geometric,
     profit_summary,
-    profit_summary_or_empty,
 )
 
 
@@ -139,7 +138,7 @@ def test_profit_summary_basic():
         _record(1, "cap_rejected", None),
         _record(2, "accepted", 5.0),
     ]
-    table = profit_summary(records)
+    table = profit_summary(records, 2)
     assert table[1]["total_profit"] == pytest.approx(8.0)
     assert table[1]["mean_profit"] == pytest.approx(4.0)
     assert table[1]["profiting_chance"] == pytest.approx(0.5)
@@ -148,21 +147,23 @@ def test_profit_summary_basic():
 
 
 def test_profit_summary_empty_flag():
-    out = profit_summary_or_empty([], 1)
-    assert out["empty"]
-    assert out["total_profit"] == 0.0
+    table = profit_summary([_record(2, "accepted", 5.0)], 2)
+    assert table[1]["empty"]
+    assert table[1]["total_profit"] == 0.0
+    assert table[1]["n_issued"] == 0
+    assert not table[2]["empty"]
 
 
 def test_profit_summary_linearity():
     rng = np.random.default_rng(4)
     records = [_record(1, "accepted", float(rng.normal()), rid=i)
                for i in range(100)]
-    whole = profit_summary(records)[1]["total_profit"]
-    split = (profit_summary(records[:37])[1]["total_profit"]
-             + profit_summary(records[37:])[1]["total_profit"])
+    whole = profit_summary(records, 1)[1]["total_profit"]
+    split = (profit_summary(records[:37], 1)[1]["total_profit"]
+             + profit_summary(records[37:], 1)[1]["total_profit"])
     assert whole == pytest.approx(split)
 
 
 def test_profit_summary_excludes_waiting():
     records = [_record(1, "accepted", 3.0), _record(1, "waiting", None)]
-    assert profit_summary(records)[1]["n_issued"] == 1
+    assert profit_summary(records, 1)[1]["n_issued"] == 1
