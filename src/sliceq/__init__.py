@@ -29,7 +29,7 @@ from .engine import (
     run_monte_carlo,
     run_replication,
 )
-from .queueing import QueueParams, TruncationConfig
+from .queueing import QueueParams
 from .tenants import KnowledgeRegime, LifetimeDistribution
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SimConfig",
     "SliceType",
     "Strategy",
-    "TruncationConfig",
     "assigned_resources",
     "demo_scenario",
     "enumerate_regions",

@@ -31,11 +31,10 @@ from .errors import (
     SliceQError,
 )
 from .fitting import fit_exponential, fit_geometric, fit_success, floor_binned
-from .markov import analytic_evaluation, strategy_search
+from .markov import SEARCH_CSV_HEADER, analytic_evaluation, strategy_search
 from .presets import PRESET_NAMES, OutputDir, run_preset, run_regions_report
 from .queueing import (
     QueueParams,
-    TruncationConfig,
     impatient_pmf,
     join_accept_probs,
     wait_densities,
@@ -65,7 +64,7 @@ def load_strategy(ref: str, scenario: Scenario, region: RegionIndex,
         return naive_strategy(region, validate_preference(order, scenario.n_types))
     if ref == "random":
         rng = substream(seed, 0, 997)
-        return random_strategy(region, rng, reserve_last=True)
+        return random_strategy(region, rng)
     return Strategy.load(ref, scenario)
 
 
@@ -86,9 +85,8 @@ def cmd_regions(args) -> int:
 
 def cmd_analyze(args) -> int:
     params = QueueParams(args.lam, args.mu, args.alpha, args.beta)
-    cfg = TruncationConfig()
-    pmf = impatient_pmf(params, cfg)
-    probs = join_accept_probs(params, cfg)
+    pmf = impatient_pmf(params)
+    probs = join_accept_probs(params)
     report = {
         "pmf": [float(p) for p in pmf[: args.pmf_entries]],
         "p_join": probs.p_join,
@@ -97,7 +95,7 @@ def cmd_analyze(args) -> int:
         "degenerate": probs.degenerate,
     }
     if args.alpha > 0 and not probs.degenerate and probs.p_accept_and_join > 0:
-        dens = wait_densities(params, cfg)
+        dens = wait_densities(params)
         report.update({
             "mean_wait_accepted": dens.mean_accepted,
             "mean_wait_reneged": dens.mean_reneged,
@@ -251,12 +249,8 @@ def cmd_search(args) -> int:
         exhaustive=args.exhaustive,
     )
     writer = csv.writer(sys.stdout)
-    writer.writerow(["strategy_id", "kind", "u_sigma", "mean_wait",
-                     "admission_rate", "objective"])
-    for r in rows:
-        writer.writerow([r.strategy_id, r.kind, f"{r.u_sigma:.6g}",
-                         f"{r.mean_wait:.6g}", f"{r.admission_rate:.6g}",
-                         f"{r.objective:.6g}"])
+    writer.writerow(SEARCH_CSV_HEADER)
+    writer.writerows(r.csv_row() for r in rows)
     return EXIT_OK
 
 

@@ -126,7 +126,9 @@ class RunMetrics:
     ``occupancy`` maps active-slice vectors to total time spent there (queue
     lengths for the isolated single-queue simulator). Steady-state style
     accumulators (occupancy, busy time, acceptance timestamps) start after
-    the warmup boundary.
+    the warmup boundary. A request issued (accepted or reneged) adds its end
+    profit to ``profit``, counts in ``profiting`` when that is positive and
+    adds its wait to ``issued_wait``; ``records`` is an output only.
     """
 
     n_types: int
@@ -147,6 +149,13 @@ class RunMetrics:
     busy_time: list[float]
     queued_accepts: list[int]
     max_assigned: list[float]
+    profit: list[float]
+    profiting: list[int]
+    issued_wait: float
+
+    @property
+    def n_issued(self) -> list[int]:
+        return [a + r for a, r in zip(self.acceptances, self.reneges)]
 
     @property
     def measured_span(self) -> float:
@@ -397,6 +406,7 @@ class _Simulation:
             records=[], occupancy={}, busy_time=[0.0] * n_queues,
             queued_accepts=[0] * n_queues,
             max_assigned=[0.0] * scenario.n_resources,
+            profit=[0.0] * n, profiting=[0] * n, issued_wait=0.0,
         )
 
     # -- plumbing ---------------------------------------------------------
@@ -447,6 +457,11 @@ class _Simulation:
 
     def _record(self, req: PendingRequest, disposition: str, wait: float,
                 profit: float | None) -> None:
+        if profit is not None:
+            t = req.slice_type - 1
+            self.metrics.profit[t] += profit
+            self.metrics.profiting[t] += profit > 0
+            self.metrics.issued_wait += wait
         if not self.config.collect_records:
             return
         self.metrics.records.append(RequestRecord(
@@ -640,12 +655,11 @@ def run_replication(scenario: Scenario, strategy: Strategy | None,
 
 def greedy_single_queue_baseline(scenario: Scenario, config: SimConfig,
                                  replication: int = 0,
-                                 region: RegionIndex | None = None,
-                                 trace=None) -> RunMetrics:
+                                 region: RegionIndex | None = None) -> RunMetrics:
     """Single mixed FCFS queue: the head is accepted whenever it fits and
     blocks everything behind it when it does not."""
     return run_replication(scenario, None, config, replication,
-                           region=region, single_queue=True, trace=trace)
+                           region=region, single_queue=True)
 
 
 def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
@@ -671,7 +685,8 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
         replication=0, arrivals=[0], joined=[0], balks=[0],
         cap_rejections=[0], reneges=[0], acceptances=[0], still_waiting=[0],
         acceptance_times=[[]], records=[], occupancy={}, busy_time=[0.0],
-        queued_accepts=[0], max_assigned=[0.0],
+        queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
+        issued_wait=0.0,
     )
 
     heap: list = []
@@ -726,13 +741,12 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
                         rid, 1, now, 1.0, entry_len, "balked", 0.0, None))
                 continue
             was_empty = not queue
-            entry = [rid, now, 0, entry_len]  # id, enter time, deadline token
+            entry = [rid, now, False, entry_len]  # id, enter time, done
             queue.append(entry)
             metrics.joined[0] += 1
             if alpha > 0:
-                entry[2] += 1
                 push(now + rng_pat.exponential(1.0 / alpha), PRIO_DEADLINE,
-                     "deadline", (entry, entry[2]))
+                     "deadline", entry)
             if was_empty:
                 schedule_service()
         elif kind == "service":
@@ -742,9 +756,10 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
                 continue
             entry = queue.popleft()
             rid, enter = entry[0], entry[1]
-            entry[2] += 1  # invalidate any pending patience deadline
+            entry[2] = True
             metrics.acceptances[0] += 1
             metrics.acceptance_times[0].append(now)
+            metrics.issued_wait += now - enter
             if collect_records:
                 metrics.records.append(RequestRecord(
                     rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
@@ -752,16 +767,13 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
                 schedule_service()
             else:
                 service_token += 1  # cancel any pending epoch
-        else:  # deadline
-            entry, token = payload
-            if token != entry[2]:
+        else:  # deadline: an entry has at most one, so one not done still waits
+            entry = payload
+            if entry[2]:
                 continue
-            try:
-                queue.remove(entry)
-            except ValueError:
-                continue
-            entry[2] += 1
+            queue.remove(entry)
             metrics.reneges[0] += 1
+            metrics.issued_wait += now - entry[1]
             if collect_records:
                 metrics.records.append(RequestRecord(
                     entry[0], 1, entry[1], 1.0, entry[3], "reneged",
@@ -786,10 +798,10 @@ def summarize_run(metrics: RunMetrics, scenario: Scenario) -> dict:
             if sum(metrics.arrivals) else 0.0
         ),
     }
-    waits = [r.wait for r in metrics.records if r.disposition in ("accepted", "reneged")]
-    row["mean_wait_joined"] = float(np.mean(waits)) if waits else 0.0
+    n_issued = metrics.n_issued
+    row["mean_wait_joined"] = metrics.issued_wait / sum(n_issued) if sum(n_issued) else 0.0
 
-    summaries = list(profit_summary(metrics.records, metrics.n_types).values())
+    summaries = list(profit_summary(n_issued, metrics.profit, metrics.profiting).values())
     for t, s in enumerate(summaries):
         row[f"total_profit_{t + 1}"] = s["total_profit"]
         row[f"mean_profit_{t + 1}"] = s["mean_profit"]

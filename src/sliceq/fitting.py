@@ -132,28 +132,22 @@ def fit_success(fit: FitResult) -> bool:
     )
 
 
-def profit_summary(records, n_types: int) -> dict[int, dict]:
-    """End-profit summary over issued requests for each slice type 1..n_types.
+def profit_summary(n_issued, profit, profiting) -> dict[int, dict]:
+    """End-profit summary for each slice type 1..n from per-type tallies.
 
-    Balked and capacity-rejected requests never issued, so they are excluded;
-    reneged ones count with their losses. Requests still waiting at the end
-    of a run carry no realized profit and are skipped too. A type that issued
-    nothing gets zeros and an explicit empty marker.
+    ``n_issued[t]`` counts the type's issued (accepted or reneged) requests,
+    ``profit[t]`` sums their end profits, reneged losses included, and
+    ``profiting[t]`` counts those with a positive one. Balked, capacity-rejected
+    and still-waiting requests never issued and are in no tally. A type that
+    issued nothing gets zeros and an explicit empty marker.
     """
-    by_type: dict[int, list[float]] = {t: [] for t in range(1, n_types + 1)}
-    for r in records:
-        if r.end_profit is None or r.disposition not in ("accepted", "reneged"):
-            continue
-        by_type[r.slice_type].append(r.end_profit)
     out = {}
-    for t, profits in by_type.items():
-        n = len(profits)
-        total = float(np.sum(profits))
+    for t, (n, total, wins) in enumerate(zip(n_issued, profit, profiting), start=1):
         out[t] = {
             "n_issued": n,
-            "total_profit": total,
+            "total_profit": float(total),
             "mean_profit": total / n if n else 0.0,
-            "profiting_chance": sum(1 for p in profits if p > 0) / n if n else 0.0,
+            "profiting_chance": wins / n if n else 0.0,
             "empty": n == 0,
         }
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -23,7 +23,7 @@ from scipy.sparse import linalg as sparse_linalg
 from .core import RegionIndex, Scenario, Strategy, naive_strategy, random_strategy
 from .engine import SimConfig, run_monte_carlo, substream
 from .errors import InvalidInputError
-from .queueing import QueueParams, TruncationConfig, DEFAULT_TRUNCATION, impatient_pmf
+from .queueing import QueueParams, impatient_pmf
 
 EXHAUSTIVE_COLUMN_LIMIT = 4096
 CONVERGED_RESIDUAL = 1e-9
@@ -195,8 +195,7 @@ def utility_metrics(acceptance_rates, release_rates, utility_rates,
     return out
 
 
-def empty_probs_from_analytics(scenario: Scenario, service_rates,
-                               cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def empty_probs_from_analytics(scenario: Scenario, service_rates) -> np.ndarray:
     """Queue-empty probabilities from the single-queue stationary model."""
     out = []
     for st, mu in zip(scenario.slice_types, service_rates):
@@ -208,15 +207,14 @@ def empty_probs_from_analytics(scenario: Scenario, service_rates,
                 and params.workload >= 1):
             out.append(0.0)
             continue
-        out.append(float(impatient_pmf(params, cfg)[0]))
+        out.append(float(impatient_pmf(params)[0]))
     return np.asarray(out)
 
 
 def bootstrap_service_rates(scenario: Scenario, strategy: Strategy,
-                            region: RegionIndex, seed: int,
-                            horizon: float = 200.0) -> np.ndarray:
+                            region: RegionIndex, seed: int) -> np.ndarray:
     """Measure per-queue acceptance rates with a short patient-tenant run."""
-    cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
+    cfg = SimConfig(horizon=200.0, master_seed=seed, queue_cap=100,
                     initial_state="random_full", collect_records=False)
     from .engine import run_replication  # local import keeps module load light
 
@@ -290,10 +288,17 @@ class SearchRow:
     objective: float
     strategy: Strategy | None = None
 
+    def csv_row(self) -> list:
+        return [self.strategy_id, self.kind, f"{self.u_sigma:.6g}", f"{self.mean_wait:.6g}",
+                f"{self.admission_rate:.6g}", f"{self.objective:.6g}"]
+
+
+SEARCH_CSV_HEADER = ["strategy_id", "kind", "u_sigma", "mean_wait", "admission_rate", "objective"]
+
 
 def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, float, float]:
-    mc = run_monte_carlo(scenario, strategy, config, region=region,
-                         single_queue=strategy is None)
+    mc = run_monte_carlo(scenario, strategy, replace(config, collect_records=False),
+                         region=region, single_queue=strategy is None)
     return (
         mc.aggregate["u_sigma"][0],
         mc.aggregate["mean_wait_joined"][0],
@@ -305,7 +310,6 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
                     n_strategies: int, config: SimConfig,
                     objective: str = "utility",
                     evaluator: str = "simulation",
-                    reserve_last: bool = True,
                     exhaustive: bool = False,
                     include_benchmarks: bool = True) -> list[SearchRow]:
     """Evaluate random strategies plus the fixed benchmarks, best first.
@@ -325,11 +329,7 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
     rng = substream(config.master_seed, 0, 999)
     candidates: list[tuple[str, str, Strategy | None]] = []
     if exhaustive:
-        options = (
-            [tuple(p) + (0,) for p in itertools.permutations(range(1, n_types + 1))]
-            if reserve_last
-            else list(itertools.permutations(range(n_types + 1)))
-        )
+        options = [tuple(p) + (0,) for p in itertools.permutations(range(1, n_types + 1))]
         total = len(options) ** region.n_admissible
         if total > EXHAUSTIVE_COLUMN_LIMIT:
             raise InvalidInputError(
@@ -341,10 +341,8 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
                              scenario_fingerprint=region.scenario_fingerprint)
             candidates.append((f"exhaustive_{i}", "random", strat))
     else:
-        for i in range(n_strategies):
-            candidates.append(
-                (f"random_{i}", "random", random_strategy(region, rng, reserve_last))
-            )
+        candidates.extend((f"random_{i}", "random", random_strategy(region, rng))
+                          for i in range(n_strategies))
 
     if include_benchmarks:
         if n_types >= 2:

@@ -26,10 +26,8 @@ from .fitting import (
     floor_binned,
     profit_summary,
 )
-from .markov import strategy_search
+from .markov import SEARCH_CSV_HEADER, strategy_search
 from .tenants import KnowledgeRegime
-
-PRESET_NAMES = ("table3", "fig4_iat", "fig5_reneging", "fig6_search", "regions")
 
 TABLE3_REGIMES = (
     ("patient", KnowledgeRegime("patient")),
@@ -45,6 +43,14 @@ TABLE3_REGIMES = (
 
 def scaled(base: int, scale: float) -> int:
     return max(1, round(base * scale))
+
+
+def _random_strategies(region, seed: int, scale: float, n_strategies: int | None) -> list:
+    """The campaign's random strategies: ``n_strategies`` of them, or 1000
+    scaled, drawn from the presets' strategy stream of ``seed``."""
+    n_strat = n_strategies if n_strategies is not None else scaled(1000, scale)
+    rng = substream(seed, 0, 998)
+    return [random_strategy(region, rng) for _ in range(n_strat)]
 
 
 @dataclass
@@ -100,22 +106,23 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
     """Per-regime tenant-profit campaign: each regime runs the same random
     strategies for the full horizon; profits are pooled over runs."""
     region = enumerate_regions(scenario)
-    n_strat = n_strategies if n_strategies is not None else scaled(1000, scale)
-    strat_rng = substream(seed, 0, 998)
-    strategies = [random_strategy(region, strat_rng, reserve_last=True)
-                  for _ in range(n_strat)]
+    strategies = _random_strategies(region, seed, scale, n_strategies)
+    n_strat = len(strategies)
 
     detail_rows = []
     summary_rows = []
     for regime_name, regime in TABLE3_REGIMES:
-        pooled = []
+        # per type: issued requests, summed end profit, profiting requests
+        pooled = [[0] * scenario.n_types for _ in range(3)]
         for i, strat in enumerate(strategies):
             cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
-                            knowledge=regime, initial_state="empty")
+                            knowledge=regime, initial_state="empty",
+                            collect_records=False)
             metrics = run_replication(scenario, strat, cfg, replication=i,
                                       region=region)
-            pooled.extend(metrics.records)
-            for t, s in profit_summary(metrics.records, scenario.n_types).items():
+            tallies = (metrics.n_issued, metrics.profit, metrics.profiting)
+            pooled = [[a + b for a, b in zip(p, q)] for p, q in zip(pooled, tallies)]
+            for t, s in profit_summary(*tallies).items():
                 detail_rows.append([
                     regime_name, i, t, s["n_issued"],
                     f"{s['total_profit']:.6g}", f"{s['mean_profit']:.6g}",
@@ -124,7 +131,7 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
             if progress:
                 progress(f"table3 {regime_name} strategy {i + 1}/{n_strat}")
         row = [regime_name]
-        for s in profit_summary(pooled, scenario.n_types).values():
+        for s in profit_summary(*pooled).values():
             row += [
                 f"{s['total_profit']:.6g}", f"{s['mean_profit']:.6g}",
                 f"{s['profiting_chance']:.6g}", s["n_issued"],
@@ -191,10 +198,8 @@ def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
     """Geometric fits of per-queue inter-acceptance times, patient tenants
     against fully informed impatient ones."""
     region = enumerate_regions(scenario)
-    n_strat = n_strategies if n_strategies is not None else scaled(1000, scale)
-    strat_rng = substream(seed, 0, 998)
-    strategies = [random_strategy(region, strat_rng, reserve_last=True)
-                  for _ in range(n_strat)]
+    strategies = _random_strategies(region, seed, scale, n_strategies)
+    n_strat = len(strategies)
 
     rows_patient, rate_patient, counts_patient = _iat_fit_rows(
         scenario, region, strategies, seed, rounds, horizon,
@@ -227,8 +232,8 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
     """Reneging-time distributions under random strategies and under a fixed
     prefer-type-2 strategy, with exponential fits and tail diagnostics."""
     region = enumerate_regions(scenario)
-    n_strat = n_strategies if n_strategies is not None else scaled(1000, scale)
-    strat_rng = substream(seed, 0, 998)
+    random_strategies = _random_strategies(region, seed, scale, n_strategies)
+    n_strat = len(random_strategies)
     regime = KnowledgeRegime("full")
 
     if scenario.n_types >= 2:
@@ -236,8 +241,7 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
     else:
         fixed_order = [1, 0]
     campaigns = {
-        "random": [random_strategy(region, strat_rng, reserve_last=True)
-                   for _ in range(n_strat)],
+        "random": random_strategies,
         "prefer2": [naive_strategy(region, fixed_order)] * n_strat,
     }
 
@@ -290,18 +294,9 @@ def run_fig6_search(scenario: Scenario, out: OutputDir, scale: float,
     n_strat = n_strategies if n_strategies is not None else scaled(10_000, scale)
     cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
                     knowledge=KnowledgeRegime("full"),
-                    initial_state="random_full", replications=rounds,
-                    collect_records=True)
+                    initial_state="random_full", replications=rounds)
     rows = strategy_search(scenario, region, n_strat, cfg, objective=objective)
-    csv_rows = [
-        [r.strategy_id, r.kind, f"{r.u_sigma:.6g}", f"{r.mean_wait:.6g}",
-         f"{r.admission_rate:.6g}", f"{r.objective:.6g}"]
-        for r in rows
-    ]
-    out.write_csv("fig6_search.csv",
-                  ["strategy_id", "kind", "u_sigma", "mean_wait",
-                   "admission_rate", "objective"],
-                  csv_rows)
+    out.write_csv("fig6_search.csv", SEARCH_CSV_HEADER, [r.csv_row() for r in rows])
     best_random = max((r for r in rows if r.kind == "random"),
                       key=lambda r: r.u_sigma)
     greedy = next(r for r in rows if r.kind == "greedy_single")
@@ -333,9 +328,21 @@ def run_regions_report(scenario: Scenario, out: OutputDir | None = None,
     return report
 
 
+# preset name -> runner(scenario, out, scale, seed, progress=..., **kwargs)
+PRESETS = {
+    "table3": run_table3,
+    "fig4_iat": run_fig4_iat,
+    "fig5_reneging": run_fig5_reneging,
+    "fig6_search": run_fig6_search,
+    "regions": lambda scenario, out, *_, **__: run_regions_report(scenario, out,
+                                                                  dump_states=True),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def run_preset(name: str, scenario: Scenario, out_path, scale: float,
                seed: int, force: bool = False, progress=None, **kwargs) -> dict:
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise InvalidInputError(f"unknown preset {name!r}")
     if not 0 < scale <= 1:
         raise InvalidInputError("scale must lie in (0, 1]")
@@ -345,16 +352,7 @@ def run_preset(name: str, scenario: Scenario, out_path, scale: float,
         scenario_fingerprint=scenario.fingerprint(),
         argv=sys.argv[1:],
     )
-    if name == "table3":
-        summary = run_table3(scenario, out, scale, seed, progress=progress, **kwargs)
-    elif name == "fig4_iat":
-        summary = run_fig4_iat(scenario, out, scale, seed, progress=progress, **kwargs)
-    elif name == "fig5_reneging":
-        summary = run_fig5_reneging(scenario, out, scale, seed, progress=progress, **kwargs)
-    elif name == "fig6_search":
-        summary = run_fig6_search(scenario, out, scale, seed, progress=progress, **kwargs)
-    else:
-        summary = run_regions_report(scenario, out, dump_states=True)
+    summary = PRESETS[name](scenario, out, scale, seed, progress=progress, **kwargs)
     out.manifest["summary"] = summary
     out.finalize()
     return summary

@@ -57,21 +57,12 @@ class QueueParams:
         return self.service_rate / self.reneging_rate
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    series_tail_tol: float = 1e-14
-    max_terms: int = 10_000
-    quadrature_abs_tol: float = 1e-9
-    quadrature_max_depth: int = 200
-
-    def __post_init__(self):
-        if self.series_tail_tol <= 0 or self.quadrature_abs_tol <= 0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.max_terms < 1 or self.quadrature_max_depth < 1:
-            raise InvalidInputError("term/depth budgets must be positive")
-
-
-DEFAULT_TRUNCATION = TruncationConfig()
+# truncation of the stationary and wait-density series, and the quadrature
+# budget; a series or integral that does not settle within them raises
+SERIES_TAIL_TOL = 1e-14
+MAX_TERMS = 10_000
+QUADRATURE_ABS_TOL = 1e-9
+QUADRATURE_MAX_DEPTH = 200
 
 
 def mm1_pmf(params: QueueParams, length: int) -> float:
@@ -131,8 +122,7 @@ def balking_prob(model: str, params: QueueParams, length: int,
     raise InvalidInputError(f"unknown balking model {model!r}")
 
 
-def impatient_pmf(params: QueueParams,
-                  cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+def impatient_pmf(params: QueueParams) -> np.ndarray:
     """Stationary queue-length PMF under exponential balking and reneging.
 
     p(l) = p(0) * prod_{i=1..l} lambda*delta^i / (mu + i*alpha), normalized
@@ -146,7 +136,7 @@ def impatient_pmf(params: QueueParams,
         if rho >= 1:
             raise DivergentQueueError("workload >= 1 and no impatience")
         # geometric, truncated where the tail drops below the tolerance
-        n = max(2, int(math.log(cfg.series_tail_tol) / math.log(rho)) + 2)
+        n = max(2, int(math.log(SERIES_TAIL_TOL) / math.log(rho)) + 2)
         probs = (1 - rho) * rho ** np.arange(n)
         return probs / probs.sum()
 
@@ -154,11 +144,11 @@ def impatient_pmf(params: QueueParams,
     term = 1.0
     small_streak = 0
     total = 1.0
-    for i in range(1, cfg.max_terms + 1):
+    for i in range(1, MAX_TERMS + 1):
         term *= lam * delta**i / (mu + i * alpha)
         terms.append(term)
         total += term
-        if term < cfg.series_tail_tol * total:
+        if term < SERIES_TAIL_TOL * total:
             small_streak += 1
             if small_streak >= 10:
                 break
@@ -166,7 +156,7 @@ def impatient_pmf(params: QueueParams,
             small_streak = 0
     else:
         raise SeriesTruncationError(
-            f"stationary series did not settle within {cfg.max_terms} terms"
+            f"stationary series did not settle within {MAX_TERMS} terms"
         )
     probs = np.array(terms) / total
     return probs
@@ -181,15 +171,14 @@ class JoinAcceptProbs:
     degenerate: bool
 
 
-def join_accept_probs(params: QueueParams,
-                      cfg: TruncationConfig = DEFAULT_TRUNCATION) -> JoinAcceptProbs:
+def join_accept_probs(params: QueueParams) -> JoinAcceptProbs:
     """Joining and acceptance probabilities of an arriving request.
 
     Joining means entering a non-empty queue; an arrival that finds the queue
     empty counts toward acceptance only. The per-length acceptance factor is
     gamma / (gamma + j), taken as 1 when there is no reneging.
     """
-    probs = impatient_pmf(params, cfg)
+    probs = impatient_pmf(params)
     delta = params.join_decay
     gamma = params.patience_ratio
     j = np.arange(len(probs))
@@ -213,19 +202,19 @@ def join_accept_probs(params: QueueParams,
     )
 
 
-def _quad(func, lo, hi, cfg: TruncationConfig, what: str) -> float:
+def _quad(func, lo, hi, what: str) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             value, err = integrate.quad(
                 func, lo, hi,
-                epsabs=cfg.quadrature_abs_tol,
-                epsrel=cfg.quadrature_abs_tol,
-                limit=cfg.quadrature_max_depth,
+                epsabs=QUADRATURE_ABS_TOL,
+                epsrel=QUADRATURE_ABS_TOL,
+                limit=QUADRATURE_MAX_DEPTH,
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"{what}: {exc}") from exc
-    if err > 10 * cfg.quadrature_abs_tol * max(1.0, abs(value)):
+    if err > 10 * QUADRATURE_ABS_TOL * max(1.0, abs(value)):
         raise QuadratureError(
             f"{what}: estimated error {err:.3g} exceeds tolerance"
         )
@@ -269,41 +258,39 @@ class WaitDensities:
         out = np.where(w < 0, 0.0, self._prefactor * self._shape(np.maximum(w, 0.0)))
         return out if out.ndim else float(out)
 
-    def cumulative_weighted(self, w: float,
-                            cfg: TruncationConfig = DEFAULT_TRUNCATION) -> float:
+    def cumulative_weighted(self, w: float) -> float:
         """g(w) = integral_0^w exp(alpha*x) f_accepted(x) dx."""
         if w <= 0:
             return 0.0
         alpha = self.params.reneging_rate
         return _quad(
             lambda x: math.exp(alpha * x) * float(self.f_accepted(x)),
-            0.0, w, cfg, "accepted-wait weighted cumulative",
+            0.0, w, "accepted-wait weighted cumulative",
         )
 
-    def f_reneged(self, w, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+    def f_reneged(self, w):
         """Density of the waiting time of requests that renege."""
         alpha = self.params.reneging_rate
         p = self.probs.p_accept_given_join
         wf = float(w)
         if wf < 0:
             return 0.0
-        g = self.cumulative_weighted(wf, cfg)
+        g = self.cumulative_weighted(wf)
         return alpha * math.exp(-alpha * wf) * (1.0 - p * g) / (1.0 - p)
 
-    def f_joined(self, w, cfg: TruncationConfig = DEFAULT_TRUNCATION):
+    def f_joined(self, w):
         """Density of the waiting time of every request that joins the queue."""
         alpha = self.params.reneging_rate
         p = self.probs.p_accept_given_join
         wf = float(w)
         if wf < 0:
             return 0.0
-        g = self.cumulative_weighted(wf, cfg)
+        g = self.cumulative_weighted(wf)
         return p * (float(self.f_accepted(wf)) - alpha * math.exp(-alpha * wf) * g) \
             + alpha * math.exp(-alpha * wf)
 
 
-def wait_densities(params: QueueParams,
-                   cfg: TruncationConfig = DEFAULT_TRUNCATION) -> WaitDensities:
+def wait_densities(params: QueueParams) -> WaitDensities:
     """Build the waiting-time densities and their means.
 
     Requires reneging (alpha > 0). Raises when no request is ever accepted
@@ -312,8 +299,8 @@ def wait_densities(params: QueueParams,
     """
     if params.reneging_rate <= 0:
         raise InvalidInputError("wait densities require a positive reneging rate")
-    probs_pmf = impatient_pmf(params, cfg)
-    jp = join_accept_probs(params, cfg)
+    probs_pmf = impatient_pmf(params)
+    jp = join_accept_probs(params)
     if jp.degenerate or jp.p_accept_and_join <= 0:
         raise InvalidInputError(
             "no acceptance-from-queue mass: accepted-wait density undefined"
@@ -329,11 +316,11 @@ def wait_densities(params: QueueParams,
     # series coefficients delta^(l(l+1)/2) / (l! (l-1)!)
     coeffs = []
     c = 1.0
-    for l in range(1, cfg.max_terms + 1):
+    for l in range(1, MAX_TERMS + 1):
         c = delta ** (l * (l + 1) // 2) / (
             math.factorial(l) * math.factorial(l - 1)
         )
-        if l > 1 and c < cfg.series_tail_tol * (coeffs[0] if coeffs else 1.0):
+        if l > 1 and c < SERIES_TAIL_TOL * (coeffs[0] if coeffs else 1.0):
             break
         coeffs.append(c)
     coeffs = np.array(coeffs)
@@ -353,14 +340,14 @@ def wait_densities(params: QueueParams,
         _series_coeffs=coeffs, _prefactor=prefactor,
     )
     raw_norm = _quad(lambda w: prefactor * float(stub._shape(w)),
-                     0.0, cutoff, cfg, "accepted-wait normalization")
+                     0.0, cutoff, "accepted-wait normalization")
     if raw_norm <= 0:
         raise QuadratureError("accepted-wait series integrated to zero")
 
     normalized_prefactor = prefactor / raw_norm
     mean_accepted = _quad(
         lambda w: w * normalized_prefactor * float(stub._shape(w)),
-        0.0, cutoff, cfg, "accepted-wait mean",
+        0.0, cutoff, "accepted-wait mean",
     )
     p = jp.p_accept_given_join
     mean_joined = (1.0 - p) / alpha

@@ -1,8 +1,9 @@
 """Shared test oracles, kept independent of the implementation paths they
 check: exact-rational region enumeration, a truncated balance-equation
 linear solve, closed-form series integrals, a literal pass-by-pass
-interpreter of the queue-serving algorithm, and the full-knowledge tenant's
-expected wait and stay/renege rule written as plain loops."""
+interpreter of the queue-serving algorithm, the full-knowledge tenant's
+expected wait and stay/renege rule written as plain loops, and a run's
+issued-request tallies by a scan of its records."""
 from __future__ import annotations
 
 import math
@@ -199,3 +200,20 @@ def renege_full(req, k: int, mu: float, omega) -> bool:
     """Stay/renege decision with position, service rate and renege rates."""
     remaining_cost = req.waiting_cost_rate * expected_wait(k, mu, omega)
     return req.profit_rate * req.lifetime - remaining_cost >= 0.0
+
+
+def issued_tallies(records, n_types: int):
+    """Tallies of a run's issued (accepted or reneged) requests from its
+    records: per type the count, the summed end profit and the count with a
+    positive end profit, and the summed wait over all types. Balked,
+    capacity-rejected and still-waiting requests never issued. Sums run in
+    record order, the order in which the run settled the requests."""
+    n_issued, profit, profiting, wait = [0] * n_types, [0.0] * n_types, [0] * n_types, 0.0
+    for r in records:
+        if r.disposition in ("accepted", "reneged"):
+            t = r.slice_type - 1
+            n_issued[t] += 1
+            profit[t] += r.end_profit
+            profiting[t] += r.end_profit > 0
+            wait += r.wait
+    return n_issued, profit, profiting, wait

@@ -42,7 +42,7 @@ from sliceq.tenants import (
     renege_serving_rate,
 )
 
-from helpers import expected_wait, renege_full, tv_from_dict
+from helpers import expected_wait, issued_tallies, renege_full, tv_from_dict
 
 DEMO = demo_scenario()
 DEMO_REGION = enumerate_regions(DEMO)
@@ -293,6 +293,53 @@ def test_summarize_run_keys():
                 "total_profit_1", "mean_profit_2", "profiting_chance_1",
                 "total_profit", "mean_profit"):
         assert key in row
+
+
+def _records_on_and_off(scenario_name, kind):
+    """One saturated run with records on and the same run with them off."""
+    sc = {"demo": DEMO, "tiny": tiny_scenario()}[scenario_name]
+    region = enumerate_regions(sc)
+    single = kind == "greedy_single"
+    strat = None if single else random_strategy(region, np.random.default_rng(3))
+    cfg = SimConfig(horizon=100.0, master_seed=9, queue_cap=20, knowledge=KnowledgeRegime(
+        "full" if single else kind, risk_factor=0.1), initial_state="random_full",
+        warmup_fraction=0.1)
+    on, off = (run_replication(sc, strat, dataclasses.replace(cfg, collect_records=collect), 1,
+                               region=region, single_queue=single)
+               for collect in (True, False))
+    return sc, on, off
+
+
+REGIMES_AND_GREEDY = ["patient", "blind", "position", "avg_wait", "serving_rate", "full",
+                      "greedy_single"]
+
+
+@pytest.mark.parametrize("kind", REGIMES_AND_GREEDY)
+@pytest.mark.parametrize("scenario_name", ["demo", "tiny"])
+def test_rows_are_the_same_with_records_off(scenario_name, kind):
+    sc, on, off = _records_on_and_off(scenario_name, kind)
+    row = summarize_run(on, sc)
+    assert off.records == [] and row["total_profit"] != 0.0
+    assert summarize_run(off, sc) == row
+
+
+@pytest.mark.parametrize("kind", REGIMES_AND_GREEDY)
+@pytest.mark.parametrize("scenario_name", ["demo", "tiny"])
+def test_run_tallies_equal_records_scan(scenario_name, kind):
+    sc, on, off = _records_on_and_off(scenario_name, kind)
+    n_issued, profit, profiting, wait = issued_tallies(on.records, sc.n_types)
+    assert (on.n_issued, on.profit, on.profiting, on.issued_wait) \
+        == (n_issued, profit, profiting, wait)
+    assert (off.n_issued, off.profit, off.profiting, off.issued_wait) \
+        == (n_issued, profit, profiting, wait)
+
+
+def test_isolated_issued_wait_equals_records_scan():
+    # the isolated queue's requests carry no end profit
+    m = isolated_queue_sim(QueueParams(1.0, 1.0, 0.5, 0.3), horizon=2e3, seed=3)
+    issued = [r for r in m.records if r.disposition in ("accepted", "reneged")]
+    assert m.n_issued == [len(issued)] and sum(m.reneges) > 0
+    assert m.issued_wait == sum(r.wait for r in issued)
 
 
 def test_strategy_scenario_mismatch_rejected():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sliceq.engine import RequestRecord
+from sliceq.core import demo_scenario, enumerate_regions, naive_strategy
+from sliceq.engine import SimConfig, run_replication
 from sliceq.errors import InvalidInputError
 from sliceq.fitting import (
     EmpiricalPMF,
@@ -15,14 +16,12 @@ from sliceq.fitting import (
     kld_vs_geometric,
     profit_summary,
 )
+from sliceq.tenants import KnowledgeRegime
 
+from helpers import issued_tallies
 
-def _record(slice_type, disposition, profit, rid=0):
-    return RequestRecord(
-        request_id=rid, slice_type=slice_type, enter_time=0.0, lifetime=1.0,
-        entry_queue_length=1, disposition=disposition, wait=0.0,
-        end_profit=profit,
-    )
+DEMO = demo_scenario()
+DEMO_REGION = enumerate_regions(DEMO)
 
 
 def test_fit_geometric_degenerate_all_zero():
@@ -131,39 +130,48 @@ def test_floor_binned():
 
 
 def test_profit_summary_basic():
-    records = [
-        _record(1, "accepted", 10.0),
-        _record(1, "reneged", -2.0),
-        _record(1, "balked", None),
-        _record(1, "cap_rejected", None),
-        _record(2, "accepted", 5.0),
-    ]
-    table = profit_summary(records, 2)
-    assert table[1]["total_profit"] == pytest.approx(8.0)
-    assert table[1]["mean_profit"] == pytest.approx(4.0)
-    assert table[1]["profiting_chance"] == pytest.approx(0.5)
-    assert table[1]["n_issued"] == 2
+    # type 1 issued an accepted request worth 10 and a reneged one losing 2
+    table = profit_summary([2, 1], [8.0, 5.0], [1, 1])
+    assert table[1] == {"n_issued": 2, "total_profit": 8.0, "mean_profit": 4.0,
+                        "profiting_chance": 0.5, "empty": False}
     assert table[2]["profiting_chance"] == 1.0
 
 
 def test_profit_summary_empty_flag():
-    table = profit_summary([_record(2, "accepted", 5.0)], 2)
+    table = profit_summary([0, 1], [0.0, 5.0], [0, 1])
     assert table[1]["empty"]
     assert table[1]["total_profit"] == 0.0
     assert table[1]["n_issued"] == 0
+    assert table[1]["mean_profit"] == table[1]["profiting_chance"] == 0.0
     assert not table[2]["empty"]
 
 
+def _run(seed, **kwargs):
+    cfg = SimConfig(horizon=60.0, master_seed=seed, initial_state="random_full", **kwargs)
+    return run_replication(DEMO, naive_strategy(DEMO_REGION, [2, 1, 0]), cfg, region=DEMO_REGION)
+
+
 def test_profit_summary_linearity():
-    rng = np.random.default_rng(4)
-    records = [_record(1, "accepted", float(rng.normal()), rid=i)
-               for i in range(100)]
-    whole = profit_summary(records, 1)[1]["total_profit"]
-    split = (profit_summary(records[:37], 1)[1]["total_profit"]
-             + profit_summary(records[37:], 1)[1]["total_profit"])
-    assert whole == pytest.approx(split)
+    # tallies pool by addition: the pooled summary totals what the runs total,
+    # and what a scan of the runs' records together gives
+    runs = [_run(seed, knowledge=KnowledgeRegime("blind", risk_factor=0.1)) for seed in (1, 2)]
+    pooled = [[a + b for a, b in zip(*tally)]
+              for tally in zip(*((m.n_issued, m.profit, m.profiting) for m in runs))]
+    scan = issued_tallies(runs[0].records + runs[1].records, 2)
+    for t in (1, 2):
+        whole = profit_summary(*pooled)[t]
+        split = [profit_summary(m.n_issued, m.profit, m.profiting)[t] for m in runs]
+        assert whole["total_profit"] == pytest.approx(sum(s["total_profit"] for s in split))
+        assert whole["total_profit"] == pytest.approx(scan[1][t - 1])
+        assert whole["n_issued"] == sum(s["n_issued"] for s in split) == scan[0][t - 1]
 
 
 def test_profit_summary_excludes_waiting():
-    records = [_record(1, "accepted", 3.0), _record(1, "waiting", None)]
-    assert profit_summary(records, 1)[1]["n_issued"] == 1
+    # balked, capacity-rejected and still-waiting requests never issued: a run
+    # with all three tallies what a scan of its issued records gives
+    m = _run(3, knowledge=KnowledgeRegime("avg_wait"), queue_cap=20)
+    assert {"balked", "cap_rejected", "waiting"} <= {r.disposition for r in m.records}
+    n_issued, profit, profiting, _ = issued_tallies(m.records, 2)
+    assert m.n_issued == n_issued
+    assert profit_summary(m.n_issued, m.profit, m.profiting) \
+        == profit_summary(n_issued, profit, profiting)

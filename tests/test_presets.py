@@ -1,10 +1,12 @@
 """Experiment presets at miniature scales: schemas, manifests, determinism."""
 import csv
 import json
+import tracemalloc
 
 import pytest
 
-from sliceq.core import demo_scenario
+from sliceq.core import demo_scenario, enumerate_regions, random_strategy
+from sliceq.engine import SimConfig, run_replication, substream
 from sliceq.errors import InvalidInputError
 from sliceq.presets import (
     OutputDir,
@@ -46,6 +48,40 @@ def test_table3_schema(tmp_path):
                 "total_profit_2", "mean_profit_2", "profiting_chance_2"):
         assert col in rows[0]
     assert summary["n_strategies"] == 1
+
+
+def _traced(fn):
+    """(bytes still traced when ``fn`` returns while its result is held,
+    peak traced bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        del result
+        return current, peak
+    finally:
+        tracemalloc.stop()
+
+
+def test_table3_memory_does_not_grow_with_strategies(tmp_path):
+    # A strategy adds its own columns and CSV rows, tens of kB, and no
+    # request. Holding every record of a regime would add one run's records
+    # per strategy, less the run at n=1 that overlaps the previous regime's
+    # last one: from 1 to 4 strategies, twice what a run's records hold.
+    # Three more strategies must add less than that once.
+    sc = demo_scenario()
+    region = enumerate_regions(sc)
+    horizon = 100.0
+    strat = random_strategy(region, substream(2, 0, 998))
+    held = [_traced(lambda: run_replication(
+        sc, strat, SimConfig(horizon=horizon, master_seed=2, collect_records=collect),
+        0, region=region))[0] for collect in (True, False)]
+    record_bytes = held[0] - held[1]
+    assert record_bytes > 0
+    peaks = [_traced(lambda: run_table3(sc, OutputDir.create(tmp_path / str(n), force=False),
+                                        scale=1.0, seed=2, n_strategies=n,
+                                        horizon=horizon))[1] for n in (1, 4)]
+    assert peaks[1] - peaks[0] < record_bytes
 
 
 def test_fig5_schema(tmp_path):
