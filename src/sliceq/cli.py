@@ -26,7 +26,6 @@ from .engine import SimConfig, run_monte_carlo, run_replication, substream, summ
 from .errors import (
     DivergentQueueError,
     InvalidInputError,
-    QuadratureError,
     SeriesTruncationError,
     SliceQError,
 )
@@ -94,8 +93,11 @@ def cmd_analyze(args) -> int:
         "p_accept_given_join": probs.p_accept_given_join,
         "degenerate": probs.degenerate,
     }
-    if args.alpha > 0 and not probs.degenerate and probs.p_accept_and_join > 0:
+    try:
         dens = wait_densities(params)
+    except InvalidInputError:
+        pass  # no density is defined for these parameters; report the pmf only
+    else:
         report.update({
             "mean_wait_accepted": dens.mean_accepted,
             "mean_wait_reneged": dens.mean_reneged,
@@ -289,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta-k", dest="delta_k", type=int, default=2)
         p.add_argument("--initial-state", dest="initial_state", default="empty",
                        choices=["empty", "random_feasible", "random_full"])
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("regions", help="report feasible/admissible region sizes")
     add_common(p)
@@ -313,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--trace", action="store_true", help="write events.jsonl")
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a distribution to a CSV column")
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DivergentQueueError, SeriesTruncationError, QuadratureError) as exc:
+    except (DivergentQueueError, SeriesTruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (InvalidInputError, SliceQError, FileNotFoundError) as exc:

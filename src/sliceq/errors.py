@@ -26,9 +26,5 @@ class SeriesTruncationError(SliceQError):
     """A series did not converge within the configured term budget."""
 
 
-class QuadratureError(SliceQError):
-    """Numerical integration failed to reach the requested tolerance."""
-
-
 class StrategyMismatchError(InvalidInputError):
     """Strategy was built for a different scenario (fingerprint mismatch)."""

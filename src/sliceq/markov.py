@@ -240,25 +240,22 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     p_init = np.zeros(region.n_feasible)
     p_init[region.feasible_index((0,) * scenario.n_types)] = 1.0
 
-    if empty_probs is not None:
-        psi = build_transition_matrix(strategy, region, empty_probs)
+    # a given empty_probs is one undamped round with p0 fixed
+    fixed = empty_probs is not None
+    rounds = 0 if fixed else fixed_point_rounds
+    mu_hat = None if fixed else bootstrap_service_rates(scenario, strategy, region, seed)
+    for _ in range(max(1, rounds)):
+        p0 = empty_probs if fixed else empty_probs_from_analytics(scenario, mu_hat)
+        psi = build_transition_matrix(strategy, region, p0)
         result = long_run_distribution(psi, p_init)
-        mu_hat = estimate_acceptance_rates(result.distribution, region, eta)
-    else:
-        mu_hat = bootstrap_service_rates(scenario, strategy, region, seed)
-        result = None
-        for _ in range(max(1, fixed_point_rounds)):
-            p0 = empty_probs_from_analytics(scenario, mu_hat)
-            psi = build_transition_matrix(strategy, region, p0)
-            result = long_run_distribution(psi, p_init)
-            mu_next = estimate_acceptance_rates(result.distribution, region, eta)
-            if fixed_point_rounds == 0:
-                mu_hat = mu_next
-                break
-            delta = np.abs(mu_next - mu_hat).max()
-            mu_hat = 0.5 * mu_hat + 0.5 * mu_next
-            if delta < 1e-6:
-                break
+        mu_next = estimate_acceptance_rates(result.distribution, region, eta)
+        if rounds == 0:
+            mu_hat = mu_next
+            break
+        delta = np.abs(mu_next - mu_hat).max()
+        mu_hat = 0.5 * mu_hat + 0.5 * mu_next
+        if delta < 1e-6:
+            break
 
     metrics = utility_metrics(mu_hat, eta, u)
     return {

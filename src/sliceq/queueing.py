@@ -1,4 +1,4 @@
-"""Closed-form and semi-numeric results for a single request queue.
+"""Closed-form results and truncated series for a single request queue.
 
 The model: Poisson arrivals at rate lambda, exogenous Poisson acceptance
 epochs at rate mu while the queue is non-empty, exponential balking (an
@@ -13,18 +13,12 @@ per-level birth/death ratios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.special import betainc
 
-from .errors import (
-    DivergentQueueError,
-    InvalidInputError,
-    QuadratureError,
-    SeriesTruncationError,
-)
+from .errors import DivergentQueueError, InvalidInputError, SeriesTruncationError
 
 
 @dataclass(frozen=True)
@@ -57,12 +51,10 @@ class QueueParams:
         return self.service_rate / self.reneging_rate
 
 
-# truncation of the stationary and wait-density series, and the quadrature
-# budget; a series or integral that does not settle within them raises
+# truncation of the stationary and wait-density series; the stationary series
+# raises when it does not settle within them
 SERIES_TAIL_TOL = 1e-14
 MAX_TERMS = 10_000
-QUADRATURE_ABS_TOL = 1e-9
-QUADRATURE_MAX_DEPTH = 200
 
 
 def mm1_pmf(params: QueueParams, length: int) -> float:
@@ -202,23 +194,11 @@ def join_accept_probs(params: QueueParams) -> JoinAcceptProbs:
     )
 
 
-def _quad(func, lo, hi, what: str) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                func, lo, hi,
-                epsabs=QUADRATURE_ABS_TOL,
-                epsrel=QUADRATURE_ABS_TOL,
-                limit=QUADRATURE_MAX_DEPTH,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"{what}: {exc}") from exc
-    if err > 10 * QUADRATURE_ABS_TOL * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"{what}: estimated error {err:.3g} exceeds tolerance"
-        )
-    return value
+def _beta_terms(a: float, n: int) -> np.ndarray:
+    """B(a, l+1) = l! / prod_{i=0..l}(a+i) for l = 1..n, as a running product
+    (exact to rounding, where a log-gamma difference loses digits at large a)."""
+    order = np.arange(1, n + 1)
+    return np.cumprod(order / (a + order)) / a
 
 
 @dataclass(frozen=True)
@@ -237,7 +217,6 @@ class WaitDensities:
     mean_reneged: float
     mean_joined: float
     raw_norm: float
-    domain_cutoff: float
     _series_coeffs: np.ndarray
     _prefactor: float
 
@@ -259,14 +238,21 @@ class WaitDensities:
         return out if out.ndim else float(out)
 
     def cumulative_weighted(self, w: float) -> float:
-        """g(w) = integral_0^w exp(alpha*x) f_accepted(x) dx."""
+        """g(w) = integral_0^w exp(alpha*x) f_accepted(x) dx.
+
+        With s = 1 - exp(-alpha*x) the l-th series term integrates to the
+        incomplete Beta function B(mu/alpha, l+1) I_s(l+1, mu/alpha) / alpha
+        (DLMF 8.17.1).
+        """
         if w <= 0:
             return 0.0
-        alpha = self.params.reneging_rate
-        return _quad(
-            lambda x: math.exp(alpha * x) * float(self.f_accepted(x)),
-            0.0, w, "accepted-wait weighted cumulative",
-        )
+        mu, alpha = self.params.service_rate, self.params.reneging_rate
+        coeffs = self._series_coeffs
+        gamma = mu / alpha
+        order = np.arange(2, len(coeffs) + 2)
+        terms = (coeffs * _beta_terms(gamma, len(coeffs))
+                 * betainc(order, gamma, -math.expm1(-alpha * w)))
+        return float(self._prefactor * terms.sum() / alpha)
 
     def f_reneged(self, w):
         """Density of the waiting time of requests that renege."""
@@ -315,40 +301,25 @@ def wait_densities(params: QueueParams) -> WaitDensities:
 
     # series coefficients delta^(l(l+1)/2) / (l! (l-1)!)
     coeffs = []
-    c = 1.0
     for l in range(1, MAX_TERMS + 1):
         c = delta ** (l * (l + 1) // 2) / (
             math.factorial(l) * math.factorial(l - 1)
         )
-        if l > 1 and c < SERIES_TAIL_TOL * (coeffs[0] if coeffs else 1.0):
+        if l > 1 and c < SERIES_TAIL_TOL * coeffs[0]:
             break
         coeffs.append(c)
     coeffs = np.array(coeffs)
 
-    # cut the domain where the exponential envelope bounds the tail below 1e-12
-    envelope = coeffs.sum()
-    cutoff = math.log(max(envelope, 1.0) / ((mu + alpha) * 1e-12)) / (mu + alpha)
-    cutoff = max(cutoff, 10.0 / (mu + alpha))
+    # the l-th series term integrates to B(mu/alpha + 1, l+1)/alpha
+    # (DLMF 5.12.1), and its mean wait is sum_{i=0..l} 1/(mu + (i+1)*alpha)
+    weights = coeffs * _beta_terms(mu / alpha + 1.0, len(coeffs))
+    term_means = np.cumsum(1.0 / (mu + alpha * np.arange(1, len(coeffs) + 2)))[1:]
 
-    prefactor = probs_pmf[0] * alpha / jp.p_accept_and_join
-
-    stub = WaitDensities(
-        params=params, probs=jp,
-        mean_accepted=float("nan"), mean_reneged=float("nan"),
-        mean_joined=float("nan"),
-        raw_norm=1.0, domain_cutoff=cutoff,
-        _series_coeffs=coeffs, _prefactor=prefactor,
-    )
-    raw_norm = _quad(lambda w: prefactor * float(stub._shape(w)),
-                     0.0, cutoff, "accepted-wait normalization")
+    prefactor = float(probs_pmf[0]) * alpha / jp.p_accept_and_join
+    raw_norm = float(prefactor * weights.sum() / alpha)
     if raw_norm <= 0:
-        raise QuadratureError("accepted-wait series integrated to zero")
-
-    normalized_prefactor = prefactor / raw_norm
-    mean_accepted = _quad(
-        lambda w: w * normalized_prefactor * float(stub._shape(w)),
-        0.0, cutoff, "accepted-wait mean",
-    )
+        raise SeriesTruncationError("accepted-wait series sums to zero")
+    mean_accepted = float((weights * term_means).sum() / weights.sum())
     p = jp.p_accept_given_join
     mean_joined = (1.0 - p) / alpha
     mean_reneged = 1.0 / alpha - p * mean_accepted / (1.0 - p)
@@ -359,7 +330,6 @@ def wait_densities(params: QueueParams) -> WaitDensities:
         mean_reneged=mean_reneged,
         mean_joined=mean_joined,
         raw_norm=raw_norm,
-        domain_cutoff=cutoff,
         _series_coeffs=coeffs,
-        _prefactor=normalized_prefactor,
+        _prefactor=prefactor / raw_norm,
     )

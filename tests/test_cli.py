@@ -48,6 +48,20 @@ def test_analyze_report(capsys):
     assert report["mean_wait_joined"] == pytest.approx(0.5121063414543892)
 
 
+def test_analyze_reports_pmf_without_densities_when_undefined(capsys):
+    # reneging this slow leaves no reneging mass: the pmf and join/accept
+    # figures are defined, the wait densities are not
+    code, out, _ = _run(capsys, "analyze", "--lam", "1", "--mu", "1",
+                        "--alpha", "1e-13", "--beta", "0.5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pmf"][0] > 0.0
+    assert "p_accept_given_join" in report
+    for key in ("mean_wait_accepted", "mean_wait_reneged", "mean_wait_joined",
+                "series_norm_deficit"):
+        assert key not in report
+
+
 def test_analyze_divergent_exit_code(capsys):
     code, _, err = _run(capsys, "analyze", "--lam", "2", "--mu", "1")
     assert code == 3
@@ -222,6 +236,15 @@ def test_search_command(capsys):
     assert kinds.count("random") == 2
     for bench in ("prefer1", "prefer2", "greedy_single"):
         assert kinds.count(bench) == 1
+
+
+def test_search_has_no_threads_option(capsys):
+    # only simulate runs replications on threads
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--scenario", "builtin:tiny", "--n-strategies", "1",
+              "--horizon", "5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_preset_regions(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Transition matrix construction, absorption laws and strategy search."""
+import hashlib
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
+from sliceq import markov
 from sliceq.core import (
     Scenario,
     SliceType,
@@ -276,6 +278,41 @@ def test_analytic_evaluation_runs_and_is_labelled():
     assert len(res["long_run"]) == region.n_feasible
     res_fp = analytic_evaluation(sc, strat, region, seed=1, fixed_point_rounds=3)
     assert res_fp["u_sigma"] >= 0.0
+
+
+def _result_digest(res: dict) -> str:
+    h = hashlib.sha256()
+    for key in sorted(res):
+        value = res[key]
+        h.update(key.encode())
+        if isinstance(value, np.ndarray):
+            h.update(str(value.dtype).encode() + np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+# pinned demo evaluations: the bootstrap path with and without fixed-point
+# rounds, and given queue-empty probabilities, which take one undamped round
+@pytest.mark.parametrize("rounds,empty_probs,digest", [
+    (0, None, "5d91b34ad58a8154ca87e9139fe72c2b6f934f4e89f001805dd2c8492d4eb4fe"),
+    (3, None, "e91d57085747624f046ff252164abaf6dca23f6edfe591f49cc2d3eaf70fad84"),
+    (0, (0.3, 0.6), "c3d1823f31cf453d057960460ae524a58d9061eef422e88838c92460bf121bae"),
+    (3, (0.3, 0.6), "c3d1823f31cf453d057960460ae524a58d9061eef422e88838c92460bf121bae"),
+])
+def test_analytic_evaluation_pinned_results(monkeypatch, rounds, empty_probs, digest):
+    sc = demo_scenario()
+    region = enumerate_regions(sc)
+    strat = naive_strategy(region, [2, 1, 0])
+    if empty_probs is not None:
+        # given queue-empty probabilities: one round, no bootstrap run
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("bootstrap run with empty_probs given")
+        monkeypatch.setattr(markov, "bootstrap_service_rates", no_bootstrap)
+        empty_probs = list(empty_probs)
+    res = analytic_evaluation(sc, strat, region, seed=1, fixed_point_rounds=rounds,
+                              empty_probs=empty_probs)
+    assert _result_digest(res) == digest
 
 
 def test_analytic_evaluation_stays_sparse_on_large_region():

@@ -1,5 +1,9 @@
 """Single-queue stationary analytics against independent oracles."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +145,7 @@ def test_join_accept_no_reneging_limit():
 
 def test_wait_density_normalization():
     dens = wait_densities(REF)
-    total, _ = quad(lambda w: float(dens.f_accepted(w)), 0.0, dens.domain_cutoff,
+    total, _ = quad(lambda w: float(dens.f_accepted(w)), 0.0, np.inf,
                     limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -151,7 +155,7 @@ def test_wait_density_raw_norm_matches_beta_oracle():
     probs = impatient_pmf(REF)
     oracle = series_norm_oracle(1.0, 1.0, 1.0, 0.5, probs[0],
                                 dens.probs.p_accept_and_join)
-    assert dens.raw_norm == pytest.approx(oracle, rel=1e-9)
+    assert dens.raw_norm == pytest.approx(oracle, rel=1e-12)
     # the raw series is not normalized; the deficit is material
     assert dens.raw_norm == pytest.approx(1.1443097, rel=1e-6)
 
@@ -159,8 +163,72 @@ def test_wait_density_raw_norm_matches_beta_oracle():
 def test_wait_density_mean_matches_expansion_oracle():
     dens = wait_densities(REF)
     assert dens.mean_accepted == pytest.approx(
-        series_mean_oracle(1.0, 1.0, 1.0, 0.5), rel=1e-8
+        series_mean_oracle(1.0, 1.0, 1.0, 0.5), rel=1e-12
     )
+    for value in (dens.mean_accepted, dens.mean_reneged, dens.mean_joined,
+                  dens.raw_norm, dens.cumulative_weighted(1.0)):
+        assert type(value) is float
+
+
+def _accepted_shape(mu, alpha, beta, terms=40):
+    """The accepted-wait series e^{-(mu+alpha)w} sum_l c_l (1-e^{-alpha w})^l,
+    summed term by term for quadrature."""
+    delta = math.exp(-beta / mu)
+    coeffs = [delta ** (l * (l + 1) // 2) / (math.factorial(l) * math.factorial(l - 1))
+              for l in range(1, terms)]
+
+    def shape(w):
+        x = -math.expm1(-alpha * w)
+        return math.exp(-(mu + alpha) * w) * sum(c * x ** l for l, c in enumerate(coeffs, 1))
+    return shape
+
+
+def _quad(f, hi):
+    return quad(f, 0.0, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+_GRID_RNG = np.random.default_rng(2024)
+CLOSED_FORM_POINTS = [
+    tuple(float(v) for v in (_GRID_RNG.uniform(0.5, 4.0), _GRID_RNG.uniform(0.5, 4.0),
+                             _GRID_RNG.uniform(0.05, 1.0), _GRID_RNG.uniform(0.0, 1.0)))
+    for _ in range(10)
+] + [(1.0, 1.0, 1.0, 0.5), (1.0, 1.0, 1e-6, 0.5), (50.0, 1.0, 0.01, 0.01),
+     (0.5, 4.0, 1.0, 0.0), (4.0, 0.5, 0.05, 1.0)]
+
+
+@pytest.mark.parametrize("point", CLOSED_FORM_POINTS, ids=lambda p: "-".join(f"{v:.3g}" for v in p))
+def test_wait_density_closed_forms_match_quadrature(point):
+    # quadrature of the series is the independent reference for the Beta sums
+    params = QueueParams(*point)
+    _, mu, alpha, beta = point
+    dens = wait_densities(params)
+    shape = _accepted_shape(mu, alpha, beta)
+    prefactor = (impatient_pmf(params)[0] * alpha
+                 / join_accept_probs(params).p_accept_and_join)
+    norm = _quad(shape, np.inf)
+    assert dens.raw_norm == pytest.approx(prefactor * norm, rel=1e-8)
+    assert dens.mean_accepted == pytest.approx(
+        _quad(lambda w: w * shape(w), np.inf) / norm, rel=1e-8)
+    for w in (0.05, 0.5, 2.0, 10.0, 40.0):
+        reference = _quad(lambda x: math.exp(alpha * x) * shape(x), w) / norm
+        assert dens.cumulative_weighted(w) == pytest.approx(reference, rel=1e-8), w
+    assert dens.cumulative_weighted(0.0) == 0.0
+
+
+def test_package_imports_no_quadrature_or_optimizer():
+    # the analytics are closed forms; scipy.integrate and scipy.optimize would
+    # only add import time and memory to every run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    code = (
+        "import importlib, pkgutil, sys, sliceq\n"
+        "for m in pkgutil.iter_modules(sliceq.__path__):\n"
+        "    importlib.import_module('sliceq.' + m.name)\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_wait_density_identities():
@@ -169,15 +237,15 @@ def test_wait_density_identities():
     # algebraic identity of the returned values
     assert dens.mean_joined * REF.reneging_rate + p == pytest.approx(1.0, abs=1e-14)
     # reneged and joined densities normalize
-    int_r, _ = quad(dens.f_reneged, 0.0, dens.domain_cutoff, limit=200)
-    int_q, _ = quad(dens.f_joined, 0.0, dens.domain_cutoff, limit=200)
+    int_r, _ = quad(dens.f_reneged, 0.0, np.inf, limit=200)
+    int_q, _ = quad(dens.f_joined, 0.0, np.inf, limit=200)
     assert int_r == pytest.approx(1.0, abs=2e-5)
     assert int_q == pytest.approx(1.0, abs=2e-5)
     # mean of the joined density agrees with its closed form
-    mean_q, _ = quad(lambda w: w * dens.f_joined(w), 0.0, dens.domain_cutoff,
+    mean_q, _ = quad(lambda w: w * dens.f_joined(w), 0.0, np.inf,
                      limit=200)
     assert mean_q == pytest.approx(dens.mean_joined, rel=1e-4)
-    mean_r, _ = quad(lambda w: w * dens.f_reneged(w), 0.0, dens.domain_cutoff,
+    mean_r, _ = quad(lambda w: w * dens.f_reneged(w), 0.0, np.inf,
                      limit=200)
     assert mean_r == pytest.approx(dens.mean_reneged, rel=2e-3)
 
