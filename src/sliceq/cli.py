@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -22,7 +23,7 @@ from .core import (
     random_strategy,
     validate_preference,
 )
-from .engine import SimConfig, run_monte_carlo, run_replication, substream, summarize_run
+from .engine import SimConfig, iter_replications, run_replication, substream, summarize_run
 from .errors import (
     DivergentQueueError,
     InvalidInputError,
@@ -130,38 +131,36 @@ def cmd_simulate(args) -> int:
         argv=sys.argv[1:],
     )
 
-    if args.trace:
-        runs = []
-        # events go to the file as they happen; each names its replication
-        with open(out.path / "events.jsonl", "w") as fh:
-            for rep in range(config.replications):
-                def emit(event, rep=rep):
-                    fh.write(json.dumps({"replication": rep, **event}) + "\n")
-                runs.append(run_replication(scenario, strategy, config, rep,
-                                            region=region, trace=emit))
-        out.manifest["outputs"].append("events.jsonl")
-        rows = [summarize_run(m, scenario) for m in runs]
-    else:
-        mc = run_monte_carlo(scenario, strategy, config, threads=args.threads,
-                             region=region)
-        rows, runs = mc.rows, mc.runs
+    rows = []
+
+    def request_rows(runs):
+        # each replication is summarized, written and dropped before the next
+        for m in runs:
+            rows.append(summarize_run(m, scenario))
+            for r in m.records:
+                yield [m.replication, r.request_id, r.slice_type,
+                       f"{r.enter_time:.9g}", f"{r.lifetime:.9g}",
+                       r.entry_queue_length, r.disposition, f"{r.wait:.9g}",
+                       "" if r.end_profit is None else f"{r.end_profit:.9g}"]
+            del m
+
+    with contextlib.ExitStack() as stack:
+        if args.trace:
+            # events go to the file as they happen; each names its replication
+            fh = stack.enter_context(open(out.path / "events.jsonl", "w"))
+            out.manifest["outputs"].append("events.jsonl")
+            runs = (run_replication(scenario, strategy, config, rep, region=region, trace=(
+                lambda event, rep=rep: fh.write(json.dumps({"replication": rep, **event}) + "\n")))
+                for rep in range(config.replications))
+        else:
+            runs = iter_replications(scenario, strategy, config, args.threads, region=region)
+        out.write_csv("requests.csv", ["replication", "request_id", "slice_type", "enter_time",
+                                       "lifetime", "entry_queue_length", "disposition",
+                                       "wait", "end_profit"], request_rows(runs))
 
     header = list(rows[0].keys())
     out.write_csv("metrics.csv", header,
                   [[row[k] for k in header] for row in rows])
-    req_header = ["replication", "request_id", "slice_type", "enter_time",
-                  "lifetime", "entry_queue_length", "disposition", "wait",
-                  "end_profit"]
-    req_rows = []
-    for m in runs:
-        for r in m.records:
-            req_rows.append([
-                m.replication, r.request_id, r.slice_type,
-                f"{r.enter_time:.9g}", f"{r.lifetime:.9g}",
-                r.entry_queue_length, r.disposition, f"{r.wait:.9g}",
-                "" if r.end_profit is None else f"{r.end_profit:.9g}",
-            ])
-    out.write_csv("requests.csv", req_header, req_rows)
     out.finalize()
     print(f"wrote {out.path}/metrics.csv ({len(rows)} replications)")
     return EXIT_OK
@@ -214,6 +213,8 @@ def cmd_markov(args) -> int:
             raise InvalidInputError(
                 "--empty-probs needs one value per slice type"
             )
+        if args.fixed_point_rounds != 0:
+            raise InvalidInputError("--empty-probs leaves --fixed-point-rounds nothing to refine")
     result = analytic_evaluation(
         scenario, strategy, region, seed=args.seed,
         fixed_point_rounds=args.fixed_point_rounds,

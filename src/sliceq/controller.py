@@ -28,7 +28,7 @@ class Disposition(Enum):
     CAP_REJECTED = "cap_rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """One queued slice request with its realized lifetime and economics."""
 
@@ -78,9 +78,6 @@ class ControllerState:
     def state(self) -> tuple[int, ...]:
         return self.region.state(self.state_index)
 
-    def queue_lengths(self) -> list[int]:
-        return [len(q) for q in self.queues]
-
 
 def serve_queues(ctrl: ControllerState, strategy: Strategy) -> list[PendingRequest]:
     """Serve the queues to quiescence and return the accepted requests.
@@ -90,27 +87,29 @@ def serve_queues(ctrl: ControllerState, strategy: Strategy) -> list[PendingReque
     acceptance. The pass walk stops at the reserve element. Passes repeat
     until nothing changes or the state leaves the admissibility region.
     """
-    region = ctrl.region
+    n_admissible, next_feasible = ctrl.region.n_admissible, ctrl.region.next_feasible
+    queues, columns, index = ctrl.queues, strategy.columns, ctrl.state_index
     accepted: list[PendingRequest] = []
-    while region.is_admissible_index(ctrl.state_index):
-        column = strategy.column(ctrl.state_index)
+    while index < n_admissible:
+        column = columns[index]
         changed = False
         for pref in column:
             if pref == 0:
                 break
-            queue = ctrl.queues[pref - 1]
+            queue = queues[pref - 1]
             if not queue:
                 continue
-            target = region.next_feasible[ctrl.state_index][pref - 1]
+            target = next_feasible[index][pref - 1]
             if target < 0:
                 continue
             req = queue.popleft()
             req.done = True
-            ctrl.state_index = target
+            index = target
             accepted.append(req)
             changed = True
         if not changed:
             break
+    ctrl.state_index = index
     return accepted
 
 
@@ -171,6 +170,4 @@ def on_request(ctrl: ControllerState, strategy: Strategy | None, req: PendingReq
         accepted = serve_mixed_queue(ctrl)
     else:
         accepted = serve_queues(ctrl, strategy)
-    if any(a is req for a in accepted):
-        return Disposition.ACCEPTED_IMMEDIATELY, accepted
-    return Disposition.QUEUED, accepted
+    return Disposition.ACCEPTED_IMMEDIATELY if req.done else Disposition.QUEUED, accepted

@@ -107,7 +107,7 @@ class SimConfig:
             raise InvalidInputError("warmup_fraction must lie in [0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     request_id: int
     slice_type: int
@@ -220,15 +220,6 @@ class _QueueStats:
         self.renege_counts: list[int] = [0]
         self.renege_total = 0
 
-    def elapse(self, dt: float, length: int) -> None:
-        if dt <= 0:
-            return
-        if length > 0:
-            self.busy_time += dt
-        while len(self.time_at_length) <= length:
-            self.time_at_length.append(0.0)
-        self.time_at_length[length] += dt
-
     def note_accept(self, wait: float) -> None:
         self.accept_count += 1
         self.accept_wait_sum += wait
@@ -317,10 +308,13 @@ def _joins_on_expected_wait(req, stats: _QueueStats, length: int) -> bool:
 
 def _stays_on_progress(sim, i: int, mu):
     # re-decided at position changes only: between departures the sunk time
-    # keeps growing but the tenant acts on the progress it has actually seen
+    # keeps growing but the tenant acts on the progress it has actually seen.
+    # Past the probation band the rule always waits, and positions only fall:
+    # the band is tested here, and the rule is called inside it alone.
     now, delta_k = sim.now, sim.config.knowledge.delta_k
-    return lambda req, pos: renege_position(req, pos, req.entry_queue_length,
-                                            now - req.enter_time, delta_k)[0]
+    return lambda req, pos: (req.entry_queue_length - pos > delta_k
+                             or renege_position(req, pos, req.entry_queue_length,
+                                                now - req.enter_time, delta_k)[0])
 
 
 def _stays_on_serving_rate(sim, i: int, mu):
@@ -376,8 +370,11 @@ class _Simulation:
         self.queue_index = self.ctrl.queue_index
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
+        self._queue_stats = list(zip(self.ctrl.queues, self.stats))
         kind = config.knowledge.kind
         self.entrance_rule, self.stay_rule = _REGIME_RULES[kind]
+        # the time at each queue length feeds the published renege rates alone
+        self.lengths_timed = kind == "full"
         # blind tenants renege at a waiting budget fixed when they join
         self.risk_factor = config.knowledge.risk_factor if kind == "blind" else None
         # per queue, for the two stay rules it screens: a bound above each
@@ -387,11 +384,14 @@ class _Simulation:
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
         )
-        self._max_index = -1  # state index last folded into max_assigned
-
         self.now = 0.0
         self._last_t = 0.0
+        self.horizon = config.horizon
         self.warmup_time = config.warmup_fraction * config.horizon
+        # state indices held for a positive time, and the measured time per
+        # state index; both are read once the run ends
+        self._visited: set[int] = set()
+        self._occupancy: dict[int, float] = {}
         self.heap: list = []
         self._seq = 0
         self._next_id = 1
@@ -403,10 +403,9 @@ class _Simulation:
             cap_rejections=[0] * n, reneges=[0] * n, acceptances=[0] * n,
             still_waiting=[0] * n,
             acceptance_times=[[] for _ in range(n)],
-            records=[], occupancy={}, busy_time=[0.0] * n_queues,
-            queued_accepts=[0] * n_queues,
-            max_assigned=[0.0] * scenario.n_resources,
-            profit=[0.0] * n, profiting=[0] * n, issued_wait=0.0,
+            records=[], profit=[0.0] * n, profiting=[0] * n, issued_wait=0.0,
+            # read off the run's own accumulators once it ends
+            occupancy={}, busy_time=[], queued_accepts=[], max_assigned=[],
         )
 
     # -- plumbing ---------------------------------------------------------
@@ -416,14 +415,12 @@ class _Simulation:
         heapq.heappush(self.heap, (time, prio, self._seq, kind, payload))
 
     def _emit(self, kind: str, slice_type: int, request_id) -> None:
-        if self.trace is None:
-            return
         self.trace({
             "time": self.now,
             "kind": kind,
             "slice_type": slice_type,
             "request_id": request_id,
-            "queue_lengths": self.ctrl.queue_lengths(),
+            "queue_lengths": [len(q) for q in self.ctrl.queues],
             "state": list(self.ctrl.state),
         })
 
@@ -434,26 +431,27 @@ class _Simulation:
         steady-state accumulators (occupancy) skip the warmup window.
         """
         lo = self._last_t
-        hi = min(time, self.config.horizon)
+        hi = min(time, self.horizon)
         self._last_t = time
         dt_full = hi - lo
         if dt_full <= 0:
             return
-        for i, q in enumerate(self.ctrl.queues):
-            self.stats[i].elapse(dt_full, len(q))
+        for q, stats in self._queue_stats:
+            if q:
+                stats.busy_time += dt_full
+        if self.lengths_timed:
+            for q, stats in self._queue_stats:
+                n, at_length = len(q), stats.time_at_length
+                while len(at_length) <= n:
+                    at_length.append(0.0)
+                at_length[n] += dt_full
         index = self.ctrl.state_index
-        if index != self._max_index:
-            self._max_index = index
-            assigned = self.assigned_by_index[index]
-            for m in range(len(assigned)):
-                if assigned[m] > self.metrics.max_assigned[m]:
-                    self.metrics.max_assigned[m] = assigned[m]
+        self._visited.add(index)
         dt = hi - max(lo, self.warmup_time)
         if dt <= 0:
             return
-        state = self.ctrl.state
-        occ = self.metrics.occupancy
-        occ[state] = occ.get(state, 0.0) + dt
+        occ = self._occupancy
+        occ[index] = occ.get(index, 0.0) + dt
 
     def _record(self, req: PendingRequest, disposition: str, wait: float,
                 profit: float | None) -> None:
@@ -462,14 +460,10 @@ class _Simulation:
             self.metrics.profit[t] += profit
             self.metrics.profiting[t] += profit > 0
             self.metrics.issued_wait += wait
-        if not self.config.collect_records:
-            return
-        self.metrics.records.append(RequestRecord(
-            request_id=req.request_id, slice_type=req.slice_type,
-            enter_time=req.enter_time, lifetime=req.lifetime,
-            entry_queue_length=req.entry_queue_length,
-            disposition=disposition, wait=wait, end_profit=profit,
-        ))
+        if self.config.collect_records:
+            self.metrics.records.append(RequestRecord(
+                req.request_id, req.slice_type, req.enter_time, req.lifetime,
+                req.entry_queue_length, disposition, wait, profit))
 
     # -- tenant decisions --------------------------------------------------
 
@@ -518,39 +512,32 @@ class _Simulation:
         wait = self.now - req.enter_time
         self.metrics.reneges[t] += 1
         self._record(req, "reneged", wait, end_profit(req, False, wait))
-        self._emit("renege", req.slice_type, req.request_id)
+        if self.trace is not None:
+            self._emit("renege", req.slice_type, req.request_id)
 
     # -- event handlers ----------------------------------------------------
-
-    def _schedule_arrival(self, t: int) -> None:
-        self._push(self.now + next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
-
-    def _schedule_release(self, slice_type: int, lifetime: float) -> None:
-        self._push(self.now + lifetime, PRIO_RELEASE, "release", slice_type)
 
     def _accept(self, req: PendingRequest) -> None:
         t = req.slice_type - 1
         wait = self.now - req.enter_time
         self.metrics.acceptances[t] += 1
-        self._schedule_release(req.slice_type, req.lifetime)
+        self._push(self.now + req.lifetime, PRIO_RELEASE, "release", req.slice_type)
         self.stats[self.queue_index[t]].note_accept(wait)
         if self.now >= self.warmup_time:
             self.metrics.acceptance_times[t].append(self.now)
         self._record(req, "accepted", wait, end_profit(req, True, wait))
-        self._emit("accept", req.slice_type, req.request_id)
+        if self.trace is not None:
+            self._emit("accept", req.slice_type, req.request_id)
 
     def _handle_arrival(self, t: int) -> None:
-        self._schedule_arrival(t)
+        self._push(self.now + next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
         st = self.scenario.slice_types[t]
-        req = PendingRequest(
-            request_id=self._next_id, slice_type=t + 1, enter_time=self.now,
-            lifetime=next(self.lifetimes[t]),
-            issue_cost=st.issue_cost, waiting_cost_rate=st.waiting_cost_rate,
-            profit_rate=st.profit_rate,
-        )
+        req = PendingRequest(self._next_id, t + 1, self.now, next(self.lifetimes[t]),
+                             st.issue_cost, st.waiting_cost_rate, st.profit_rate)
         self._next_id += 1
         self.metrics.arrivals[t] += 1
-        self._emit("request", req.slice_type, req.request_id)
+        if self.trace is not None:
+            self._emit("request", req.slice_type, req.request_id)
 
         joins = None if self.entrance_rule is None else self._entrance_joins
         disposition, accepted = on_request(self.ctrl, self.strategy, req, joins)
@@ -558,12 +545,14 @@ class _Simulation:
         if disposition is Disposition.BALKED:
             self.metrics.balks[t] += 1
             self._record(req, "balked", 0.0, None)
-            self._emit("balk", req.slice_type, req.request_id)
+            if self.trace is not None:
+                self._emit("balk", req.slice_type, req.request_id)
             return
         if disposition is Disposition.CAP_REJECTED:
             self.metrics.cap_rejections[t] += 1
             self._record(req, "cap_rejected", 0.0, None)
-            self._emit("cap_reject", req.slice_type, req.request_id)
+            if self.trace is not None:
+                self._emit("cap_reject", req.slice_type, req.request_id)
             return
 
         self.metrics.joined[t] += 1
@@ -575,15 +564,16 @@ class _Simulation:
         self._after_acceptances(accepted)
 
     def _after_acceptances(self, accepted: list[PendingRequest]) -> None:
-        touched = set()
+        if not accepted:
+            return
         for a in accepted:
             self._accept(a)
-            touched.add(self.queue_index[a.slice_type - 1])
-        for i in touched:
+        for i in {self.queue_index[a.slice_type - 1] for a in accepted}:
             self._reevaluate_queue(i)
 
     def _handle_release(self, slice_type: int) -> None:
-        self._emit("release", slice_type, None)
+        if self.trace is not None:
+            self._emit("release", slice_type, None)
         self._after_acceptances(on_release(self.ctrl, self.strategy, slice_type))
 
     def _handle_deadline(self, req: PendingRequest) -> None:
@@ -612,11 +602,11 @@ class _Simulation:
         self.ctrl.state_index = self._draw_initial_state()
         for t, count in enumerate(self.ctrl.state):
             for _ in range(count):
-                self._schedule_release(t + 1, next(self.lifetimes[t]))
+                self._push(next(self.lifetimes[t]), PRIO_RELEASE, "release", t + 1)
         for t in range(self.scenario.n_types):
-            self._schedule_arrival(t)
+            self._push(next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
 
-        horizon = self.config.horizon
+        horizon = self.horizon
         while self.heap:
             time, prio, _seq, kind, payload = heapq.heappop(self.heap)
             if time > horizon:
@@ -637,9 +627,12 @@ class _Simulation:
                 t = req.slice_type - 1
                 self.metrics.still_waiting[t] += 1
                 self._record(req, "waiting", horizon - req.enter_time, None)
-        for i, stats in enumerate(self.stats):
-            self.metrics.busy_time[i] = stats.busy_time
-            self.metrics.queued_accepts[i] = stats.queued_accepts
+        self.metrics.busy_time = [stats.busy_time for stats in self.stats]
+        self.metrics.queued_accepts = [stats.queued_accepts for stats in self.stats]
+        feasible = self.region.feasible
+        self.metrics.occupancy = {feasible[i]: dt for i, dt in self._occupancy.items()}
+        self.metrics.max_assigned = self.assigned_by_index[list(self._visited)].max(
+            axis=0, initial=0.0).tolist()
         return self.metrics
 
 
@@ -845,21 +838,28 @@ def _worker(args):
                            region=region, single_queue=single_queue)
 
 
-def run_monte_carlo(scenario: Scenario, strategy: Strategy | None,
-                    config: SimConfig, threads: int = 1,
-                    single_queue: bool = False,
-                    region: RegionIndex | None = None) -> MonteCarloResult:
-    """Independent replications with per-replication derived seeds."""
+def iter_replications(scenario: Scenario, strategy: Strategy | None,
+                      config: SimConfig, threads: int = 1,
+                      single_queue: bool = False,
+                      region: RegionIndex | None = None):
+    """Independent replications with per-replication derived seeds, yielded
+    in replication order; a consumer that drops each one holds one at a time."""
     reps = range(config.replications)
     if threads > 1:
         jobs = [(scenario, strategy, config, r, single_queue, region) for r in reps]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_worker, jobs))
+            yield from pool.map(_worker, jobs)
     else:
-        runs = [
-            run_replication(scenario, strategy, config, r,
-                            region=region, single_queue=single_queue)
-            for r in reps
-        ]
+        for r in reps:
+            yield run_replication(scenario, strategy, config, r,
+                                  region=region, single_queue=single_queue)
+
+
+def run_monte_carlo(scenario: Scenario, strategy: Strategy | None,
+                    config: SimConfig, threads: int = 1,
+                    single_queue: bool = False,
+                    region: RegionIndex | None = None) -> MonteCarloResult:
+    """Every replication of ``iter_replications``, kept, with its summary row."""
+    runs = list(iter_replications(scenario, strategy, config, threads, single_queue, region))
     rows = [summarize_run(m, scenario) for m in runs]
     return MonteCarloResult(runs=runs, rows=rows, aggregate=_aggregate(rows))

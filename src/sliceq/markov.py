@@ -235,6 +235,8 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     under damping 0.5. ``converged`` and ``residual`` come from the last
     chain solve.
     """
+    if fixed_point_rounds < 0:
+        raise InvalidInputError("fixed_point_rounds must be non-negative")
     eta = np.array([st.release_rate for st in scenario.slice_types])
     u = np.array([st.effective_utility_rate for st in scenario.slice_types])
     p_init = np.zeros(region.n_feasible)

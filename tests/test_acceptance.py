@@ -138,6 +138,7 @@ def test_ac4_patient_queue_sanity():
         assert little_err <= 0.05
 
 
+@pytest.mark.slow
 def test_ac5_geometric_iat_contrast(tmp_path):
     with criterion("AC5 geometric IAT contrast") as st:
         start = time.time()
@@ -180,6 +181,7 @@ def _regime_campaign(seeds):
             {k: np.array(v) for k, v in total_profit.items()})
 
 
+@pytest.mark.slow
 def test_ac6_knowledge_regime_ordering():
     with criterion("AC6 knowledge-regime ordering") as st:
         start = time.time()
@@ -204,6 +206,7 @@ def test_ac6_knowledge_regime_ordering():
         assert blind_gt >= 8
 
 
+@pytest.mark.slow
 def test_ac7_search_beats_greedy_single_queue():
     with criterion("AC7 multi-queue search vs greedy single queue") as st:
         start = time.time()
@@ -242,6 +245,7 @@ def _pooled_reneging_waits(strategies, seed, rounds=25):
     return pools
 
 
+@pytest.mark.slow
 def test_ac8_reneging_time_shape():
     with criterion("AC8 reneging-time shape") as st:
         rng = substream(77, 0, 998)

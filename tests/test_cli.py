@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 import csv
 import json
+import tracemalloc
 
 import pytest
 
 from sliceq import cli, engine
 from sliceq.cli import main
 from sliceq.core import demo_scenario, enumerate_regions, tiny_scenario
+from sliceq.tenants import KnowledgeRegime
 
 
 def _run(capsys, *argv):
@@ -104,6 +106,38 @@ def test_simulate_outputs(tmp_path, capsys, monkeypatch):
     assert manifest["scenario_fingerprint"] == demo_scenario().fingerprint()
     assert "metrics.csv" in manifest["outputs"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_simulate_memory_does_not_grow_with_replications(tmp_path, capsys, trace):
+    # each replication's requests are written as it finishes: from 1 to 4
+    # replications the peak must grow by less than what one replication's
+    # metrics hold, records included
+    argv = ["simulate", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0",
+            "--horizon", "100", "--seed", "1", "--knowledge", "full"] + ["--trace"] * trace
+    scenario = demo_scenario()
+    region = enumerate_regions(scenario)
+    config = engine.SimConfig(horizon=100.0, master_seed=1, knowledge=KnowledgeRegime("full"))
+    strategy = cli.load_strategy("naive:2,1,0", scenario, region, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = engine.run_replication(scenario, strategy, config, 0, region=region)
+        one_run = tracemalloc.get_traced_memory()[0] - before
+        del m
+        peaks = []
+        for reps in (1, 4):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            code, *_ = _run(capsys, *argv, "--replications", str(reps),
+                            "--out", str(tmp_path / f"reps{reps}"))
+            assert code == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "reps4" / "requests.csv") as fh:
+        assert {row["replication"] for row in csv.DictReader(fh)} == {"0", "1", "2", "3"}
+    assert peaks[1] - peaks[0] < one_run
 
 
 def test_simulate_refuses_existing_dir(tmp_path, capsys):
@@ -222,6 +256,25 @@ def test_markov_explicit_empty_probs(capsys):
     code, _, _ = _run(capsys, "markov", "--scenario", "builtin:demo",
                       "--strategy", "naive:2,1,0", "--empty-probs", "1")
     assert code == 2
+
+
+def test_markov_refuses_negative_fixed_point_rounds(capsys):
+    # a negative count was taken as one damped round without a word
+    code, _, err = _run(capsys, "markov", "--scenario", "builtin:demo",
+                        "--strategy", "naive:2,1,0", "--seed", "1",
+                        "--fixed-point-rounds", "-1")
+    assert code == 2
+    assert "fixed_point_rounds" in err
+
+
+def test_markov_refuses_rounds_with_given_empty_probs(capsys):
+    # given queue-empty probabilities leave the rounds nothing to refine;
+    # they were ignored
+    code, _, err = _run(capsys, "markov", "--scenario", "builtin:demo",
+                        "--strategy", "naive:2,1,0", "--empty-probs", "0.3,0.6",
+                        "--fixed-point-rounds", "2")
+    assert code == 2
+    assert "--fixed-point-rounds" in err
 
 
 def test_search_command(capsys):

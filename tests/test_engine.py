@@ -401,10 +401,18 @@ def test_substreams_independent_of_extra_draws():
     assert np.array_equal(a1, a2)
 
 
+def _elapse(stats, dt, length):
+    """Time ``dt`` at queue length ``length``, as the event loop adds it."""
+    if length > 0:
+        stats.busy_time += dt
+    stats.time_at_length += [0.0] * (length + 1 - len(stats.time_at_length))
+    stats.time_at_length[length] += dt
+
+
 def _stats_with(lengths, renege_positions):
     stats = engine._QueueStats()
     for dt, length in lengths:
-        stats.elapse(dt, length)
+        _elapse(stats, dt, length)
     for pos in renege_positions:
         stats.note_renege(pos)
     return stats
@@ -484,6 +492,90 @@ def test_serving_rate_renege_run_is_pinned():
     assert len(m.records) == 16177
     assert _records_sha256(m) == \
         "515a9459238963f3ed7006072c72134db0fcdeddc44729ba4527067b439ae34a"
+
+
+def _run_sha256(m) -> str:
+    """Every ``RunMetrics`` field beyond the records, occupancy in insertion
+    order, and the summary row."""
+    h = hashlib.sha256()
+    h.update(repr((list(m.occupancy.items()), m.busy_time, m.queued_accepts,
+                   [float(x) for x in m.max_assigned], m.acceptance_times, m.arrivals,
+                   m.joined, m.balks, m.cap_rejections, m.reneges, m.acceptances,
+                   m.still_waiting, m.profit, m.profiting, m.issued_wait,
+                   summarize_run(m, DEMO))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, queue_cap, digest", [
+    ("patient", 100,
+     "dd1c77b41417a0ef4b1c85b027a9bc3bb6da52bf94990f07634b6293a4c1c08d"),
+    ("patient", None,
+     "9261fce10ed6484705ebf143d233df13d8611850c44abb9f5f4bf9769eb8992a"),
+    ("blind", 100,
+     "caa8d16470e1c95b7694ec741887b72743f5380ea45c8e78be8e39e3f170c153"),
+    ("blind", None,
+     "9a0b17d99b079ef1d9500d06c3189008388806316b8ead975fd1c403cdfa4a72"),
+    ("position", 100,
+     "378ba349ecd7edce3237d829548e86abdf1eab31f7fd90643cc001727bc33196"),
+    ("position", None,
+     "f7b434ba5c6b01b291dc972034cd6b4b824660501b4199f6b78065fa3719af37"),
+    ("avg_wait", 100,
+     "a1da7c5c14cbfc56bb310b824b45628ba3d63db2940d4579091644a7acd4e0dc"),
+    ("avg_wait", None,
+     "465274ed5ecddc284c01232bbd59db148f2657910a8df25e29c0196c7031c2a3"),
+    ("serving_rate", 100,
+     "3df84f49ee0c5223aa62c4f1916d9cc7e43954cb54df0719b4641cd57bb34803"),
+    ("serving_rate", None,
+     "50a18a39ef45dc38c8c789ffb87dd49a718fc203a19c0a5e8512079710fe157a"),
+    ("full", 100,
+     "3df84f49ee0c5223aa62c4f1916d9cc7e43954cb54df0719b4641cd57bb34803"),
+    ("full", None,
+     "50a18a39ef45dc38c8c789ffb87dd49a718fc203a19c0a5e8512079710fe157a"),
+    ("greedy_single", 100,
+     "116535cdb5057589974eac91802946cf6508570b5b1272f705a5ae475474a18a"),
+    ("greedy_single", None,
+     "fbdfe8e6e025640f700a27dc883a7290c6e3f420454a5ad9f90c90712b04c267"),
+])
+def test_whole_run_is_pinned(kind, queue_cap, digest):
+    # the record digests leave out what a run sums on the side: the
+    # occupancy (its order too), busy time, peak load, acceptance times and
+    # tallies; a reordered float sum in any of them changes this digest
+    single = kind == "greedy_single"
+    cfg = SimConfig(horizon=300.0, master_seed=7, queue_cap=queue_cap, warmup_fraction=0.1,
+                    knowledge=KnowledgeRegime("full" if single else kind, risk_factor=0.5),
+                    initial_state="random_full")
+    if single:
+        m = greedy_single_queue_baseline(DEMO, cfg, 1, region=DEMO_REGION)
+    else:
+        strat = random_strategy(DEMO_REGION, substream(7, 0, 999))
+        m = run_replication(DEMO, strat, cfg, 1, region=DEMO_REGION)
+    assert _run_sha256(m) == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_position_stay_rule_equals_renege_position(data):
+    # the engine tests the probation band before it calls the rule; its
+    # predicate must still be the rule's, at the band's edge included
+    delta_k = data.draw(st.integers(1, 5))
+    advanced = data.draw(st.one_of(st.just(delta_k), st.just(delta_k + 1),
+                                   st.integers(0, 3 * delta_k + 3)))
+    length = advanced + data.draw(st.integers(1, 40))
+    pos = length - advanced
+    u = data.draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    req = PendingRequest(request_id=1, slice_type=1, enter_time=0.0,
+                         lifetime=data.draw(st.floats(0.01, 60.0)), issue_cost=0.0,
+                         waiting_cost_rate=u, profit_rate=data.draw(st.floats(0.1, 10.0)),
+                         entry_queue_length=length)
+    published = dict(lengths=[], renege_positions=[], queued_accepts=0, busy_time=0.0)
+    sim, i, _ = _queue_simulation("position", False, 1, published, [],
+                                  now=data.draw(st.floats(0.0, 1e4)), delta_k=delta_k)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "renege_position", lambda *a: calls.append(a) or renege_position(*a))
+        got = engine._stays_on_progress(sim, i, None)(req, pos)
+    assert got == renege_position(req, pos, length, sim.now, delta_k)[0]
+    assert bool(calls) == (advanced <= delta_k)
 
 
 @pytest.mark.parametrize("kind", ["serving_rate", "full"])
@@ -611,7 +703,7 @@ def _queue_simulation(kind, single, slice_type, published, requests, now=0.0, de
     i = sim.ctrl.queue_index[slice_type - 1]
     stats = sim.stats[i]
     for dt, length in published["lengths"]:
-        stats.elapse(dt, length)
+        _elapse(stats, dt, length)
     for pos in published["renege_positions"]:
         stats.note_renege(pos)
     stats.queued_accepts, stats.busy_time = published["queued_accepts"], published["busy_time"]

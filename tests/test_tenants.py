@@ -206,6 +206,11 @@ def test_renege_position_deep_progress_waits():
     # past the probation band the tenant no longer reneges at all
     wait, deadline = renege_position(req, k=3, length=10, elapsed=1e9, delta_k=2)
     assert wait and deadline is None
+    # at the band's edge: one position past it waits, on it the stall still
+    # counts; the engine tests the band before it calls, other callers do not
+    for delta_k in (1, 2, 5):
+        assert renege_position(req, 2, delta_k + 3, 1e9, delta_k) == (True, None)
+        assert renege_position(req, 3, delta_k + 3, 1e9, delta_k) == (False, None)
 
 
 def test_renege_position_long_stall_reneges():
