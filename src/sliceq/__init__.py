@@ -12,10 +12,8 @@ from .core import (
     Scenario,
     SliceType,
     Strategy,
-    assigned_resources,
     demo_scenario,
     enumerate_regions,
-    is_feasible,
     naive_strategy,
     random_strategy,
     tiny_scenario,
@@ -24,7 +22,6 @@ from .controller import ControllerState, Disposition, PendingRequest
 from .engine import (
     RunMetrics,
     SimConfig,
-    greedy_single_queue_baseline,
     isolated_queue_sim,
     run_monte_carlo,
     run_replication,
@@ -44,11 +41,8 @@ __all__ = [
     "SimConfig",
     "SliceType",
     "Strategy",
-    "assigned_resources",
     "demo_scenario",
     "enumerate_regions",
-    "greedy_single_queue_baseline",
-    "is_feasible",
     "isolated_queue_sim",
     "naive_strategy",
     "random_strategy",

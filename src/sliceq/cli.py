@@ -84,6 +84,8 @@ def cmd_regions(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.pmf_entries < 0:
+        raise InvalidInputError("--pmf-entries must be non-negative")
     params = QueueParams(args.lam, args.mu, args.alpha, args.beta)
     pmf = impatient_pmf(params)
     probs = join_accept_probs(params)
@@ -122,6 +124,8 @@ def cmd_simulate(args) -> int:
         initial_state=args.initial_state,
         warmup_fraction=args.warmup,
     )
+    if args.threads < 1:
+        raise InvalidInputError("--threads must be at least 1")
     if args.trace and args.threads > 1:
         raise InvalidInputError("--trace runs the replications serially; drop --threads")
     out = OutputDir.create(
@@ -203,6 +207,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_markov(args) -> int:
+    if args.top_k < 0:
+        raise InvalidInputError("--top-k must be non-negative")
     scenario = load_scenario(args.scenario)
     region = enumerate_regions(scenario)
     strategy = load_strategy(args.strategy, scenario, region, args.seed)

@@ -88,10 +88,6 @@ class Scenario:
                 )
 
     @property
-    def n_resources(self) -> int:
-        return len(self.resources)
-
-    @property
     def n_types(self) -> int:
         return len(self.slice_types)
 
@@ -225,30 +221,6 @@ def tiny_scenario() -> Scenario:
 BUILTIN_SCENARIOS = {"demo": demo_scenario, "tiny": tiny_scenario}
 
 
-def assigned_resources(costs, state) -> np.ndarray:
-    """Total resources consumed by the active-slice vector: C x s."""
-    c = np.asarray(costs, dtype=float)
-    s = np.asarray(state, dtype=float)
-    if c.ndim != 2:
-        raise InvalidInputError("cost matrix must be two-dimensional")
-    if s.ndim != 1 or c.shape[1] != s.shape[0]:
-        raise InvalidInputError(
-            f"state length {s.shape} does not match cost matrix {c.shape}"
-        )
-    if (c < 0).any():
-        raise InvalidInputError("cost entries must be non-negative")
-    return c @ s
-
-
-def is_feasible(scenario: Scenario, state) -> bool:
-    """True when the pool covers the state's resource demand (with slack)."""
-    if len(state) != scenario.n_types:
-        raise InvalidInputError("state has wrong number of slice types")
-    a = assigned_resources(scenario.cost_matrix(), state)
-    r = np.asarray(scenario.resources, dtype=float)
-    return bool(np.all(r - a >= -FEASIBILITY_SLACK))
-
-
 @dataclass
 class RegionIndex:
     """Complete enumeration of the feasible and admissible regions.
@@ -375,10 +347,6 @@ class Strategy:
 
     def column(self, admissible_index: int) -> tuple[int, ...]:
         return self.columns[admissible_index]
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
 
     def check_scenario(self, scenario: Scenario) -> None:
         if scenario.fingerprint() != self.scenario_fingerprint:

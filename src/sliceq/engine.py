@@ -169,22 +169,6 @@ class RunMetrics:
             for t in range(self.n_types)
         )
 
-    def state_mean(self) -> np.ndarray:
-        """Time-averaged active-slice vector."""
-        total = sum(self.occupancy.values())
-        mean = np.zeros(self.n_types)
-        if total <= 0:
-            return mean
-        for state, dt in self.occupancy.items():
-            mean += dt * np.asarray(state, dtype=float)
-        return mean / total
-
-    def occupancy_pmf(self) -> dict:
-        total = sum(self.occupancy.values())
-        if total <= 0:
-            return {}
-        return {s: dt / total for s, dt in self.occupancy.items()}
-
     def utility_time_average(self, utility_rates) -> float:
         u = np.asarray(utility_rates, dtype=float)
         total = sum(self.occupancy.values())
@@ -314,7 +298,7 @@ def _stays_on_progress(sim, i: int, mu):
     now, delta_k = sim.now, sim.config.knowledge.delta_k
     return lambda req, pos: (req.entry_queue_length - pos > delta_k
                              or renege_position(req, pos, req.entry_queue_length,
-                                                now - req.enter_time, delta_k)[0])
+                                                now - req.enter_time, delta_k))
 
 
 def _stays_on_serving_rate(sim, i: int, mu):
@@ -644,15 +628,6 @@ def run_replication(scenario: Scenario, strategy: Strategy | None,
     sim = _Simulation(scenario, strategy, config, replication,
                       region=region, single_queue=single_queue, trace=trace)
     return sim.run()
-
-
-def greedy_single_queue_baseline(scenario: Scenario, config: SimConfig,
-                                 replication: int = 0,
-                                 region: RegionIndex | None = None) -> RunMetrics:
-    """Single mixed FCFS queue: the head is accepted whenever it fits and
-    blocks everything behind it when it does not."""
-    return run_replication(scenario, None, config, replication,
-                           region=region, single_queue=True)
 
 
 def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,

@@ -36,11 +36,6 @@ class EmpiricalPMF:
         counts = tuple(counter.get(k, 0) for k in range(top + 1))
         return cls(counts=counts, n=len(xs))
 
-    def prob(self, k: int) -> float:
-        if 0 <= k < len(self.counts):
-            return self.counts[k] / self.n
-        return 0.0
-
 
 @dataclass(frozen=True)
 class FitResult:

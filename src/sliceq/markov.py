@@ -157,42 +157,15 @@ def estimate_acceptance_rates(long_run: np.ndarray, region: RegionIndex,
     return mean_counts * eta
 
 
-def instant_utility(state, utility_rates) -> float:
-    """Utility rate earned at one instant from the active slices."""
-    return float(np.dot(np.asarray(state, dtype=float),
-                        np.asarray(utility_rates, dtype=float)))
-
-
-def utility_metrics(acceptance_rates, release_rates, utility_rates,
-                    mean_lengths=None, mean_waits=None,
-                    arrival_rates=None, accept_probs=None) -> dict:
-    """Aggregate performance metrics from per-queue quantities.
-
-    Returns the long-run utility rate, and (when the per-queue inputs are
-    given) the length-weighted mean wait and the arrival-weighted admission
-    probability.
-    """
+def utility_metrics(acceptance_rates, release_rates, utility_rates) -> float:
+    """Long-run utility rate: each type's mean active count mu/eta times its
+    utility rate, summed."""
     mu = np.asarray(acceptance_rates, dtype=float)
     eta = np.asarray(release_rates, dtype=float)
     u = np.asarray(utility_rates, dtype=float)
     if (mu < 0).any() or (eta <= 0).any():
         raise InvalidInputError("rates must be non-negative (releases positive)")
-    out = {"u_sigma": float((mu * u / eta).sum())}
-    if mean_lengths is not None and mean_waits is not None:
-        lengths = np.asarray(mean_lengths, dtype=float)
-        waits = np.asarray(mean_waits, dtype=float)
-        total = lengths.sum()
-        if total > 0:
-            out["mean_wait"] = float((waits * lengths).sum() / total)
-            out["mean_wait_empty"] = False
-        else:
-            out["mean_wait"] = 0.0
-            out["mean_wait_empty"] = True
-    if arrival_rates is not None and accept_probs is not None:
-        lam = np.asarray(arrival_rates, dtype=float)
-        pa = np.asarray(accept_probs, dtype=float)
-        out["admission_rate"] = float((lam * pa).sum() / lam.sum())
-    return out
+    return float((mu * u / eta).sum())
 
 
 def empty_probs_from_analytics(scenario: Scenario, service_rates) -> np.ndarray:
@@ -232,8 +205,10 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     service rates measured in a short bootstrap run, unless given explicitly
     via ``empty_probs``. With ``fixed_point_rounds`` > 0 the service-rate
     guesses are refined by alternating the chain solve with the queue model
-    under damping 0.5. ``converged`` and ``residual`` come from the last
-    chain solve.
+    under damping 0.5, until the rates a solve returns are within 1e-6 of
+    the rates it was fed. The result is the last solve's: its law, its
+    acceptance rates and its ``residual``; with rounds, ``converged`` also
+    requires that the rates settled.
     """
     if fixed_point_rounds < 0:
         raise InvalidInputError("fixed_point_rounds must be non-negative")
@@ -246,26 +221,25 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     fixed = empty_probs is not None
     rounds = 0 if fixed else fixed_point_rounds
     mu_hat = None if fixed else bootstrap_service_rates(scenario, strategy, region, seed)
+    settled = True
     for _ in range(max(1, rounds)):
         p0 = empty_probs if fixed else empty_probs_from_analytics(scenario, mu_hat)
         psi = build_transition_matrix(strategy, region, p0)
         result = long_run_distribution(psi, p_init)
         mu_next = estimate_acceptance_rates(result.distribution, region, eta)
         if rounds == 0:
-            mu_hat = mu_next
             break
-        delta = np.abs(mu_next - mu_hat).max()
+        settled = bool(np.abs(mu_next - mu_hat).max() < 1e-6)
+        if settled:
+            break
         mu_hat = 0.5 * mu_hat + 0.5 * mu_next
-        if delta < 1e-6:
-            break
 
-    metrics = utility_metrics(mu_hat, eta, u)
     return {
         "long_run": result.distribution,
-        "converged": result.converged,
+        "converged": result.converged and settled,
         "residual": result.residual,
-        "acceptance_rates": mu_hat,
-        "u_sigma": metrics["u_sigma"],
+        "acceptance_rates": mu_next,
+        "u_sigma": utility_metrics(mu_next, eta, u),
         "label": "embedded-chain approximation",
     }
 

@@ -57,63 +57,6 @@ SERIES_TAIL_TOL = 1e-14
 MAX_TERMS = 10_000
 
 
-def mm1_pmf(params: QueueParams, length: int) -> float:
-    """Stationary probability of the patient queue holding ``length`` requests."""
-    if params.reneging_rate != 0 or params.balking_exponent != 0:
-        raise InvalidInputError("mm1_pmf applies to the patient queue only")
-    if length < 0:
-        raise InvalidInputError("queue length must be non-negative")
-    rho = params.workload
-    if rho >= 1:
-        raise DivergentQueueError(
-            f"workload {rho:.4g} >= 1: patient queue has no steady state"
-        )
-    return (1.0 - rho) * rho**length
-
-
-def little_mean_length(arrival_rate: float, mean_wait: float) -> float:
-    """Mean queue length from the arrival rate and mean waiting time."""
-    if arrival_rate < 0 or mean_wait < 0:
-        raise InvalidInputError("inputs must be non-negative")
-    return arrival_rate * mean_wait
-
-
-def wait_cdf(params: QueueParams, wait: float) -> float:
-    """CDF of a patient request's waiting time: Exp(mu - lambda)."""
-    if params.reneging_rate != 0 or params.balking_exponent != 0:
-        raise InvalidInputError("wait_cdf applies to the patient queue only")
-    if params.workload >= 1:
-        raise DivergentQueueError(
-            f"workload {params.workload:.4g} >= 1: waiting time diverges"
-        )
-    if wait < 0:
-        return 0.0
-    return 1.0 - math.exp(-(params.service_rate - params.arrival_rate) * wait)
-
-
-def balking_prob(model: str, params: QueueParams, length: int,
-                 l_max: int | None = None) -> float:
-    """Probability that an arrival joins a queue of the given length.
-
-    ``linear`` needs the truncation length l_max; ``hyperbolic`` uses the
-    balking exponent as a patience factor; ``exponential`` scales the length
-    by the serving rate.
-    """
-    if length < 0:
-        raise InvalidInputError("queue length must be non-negative")
-    if model == "linear":
-        if l_max is None or l_max <= 0:
-            raise InvalidInputError("linear balking requires a positive l_max")
-        return min(1.0, max(0.0, 1.0 - length / l_max))
-    if model == "hyperbolic":
-        if length == 0:
-            return 1.0
-        return min(1.0, params.balking_exponent / length)
-    if model == "exponential":
-        return math.exp(-params.balking_exponent * length / params.service_rate)
-    raise InvalidInputError(f"unknown balking model {model!r}")
-
-
 def impatient_pmf(params: QueueParams) -> np.ndarray:
     """Stationary queue-length PMF under exponential balking and reneging.
 

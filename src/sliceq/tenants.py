@@ -46,17 +46,6 @@ class LifetimeDistribution:
             return 0.0 if t < 1.0 else 1.0 - 1.0 / t
         return 1.0 - math.exp(-self.param * t)
 
-    def sample(self, rng) -> float:
-        u = rng.random()
-        # 1-u lies in (0, 1]: keeps every draw strictly positive
-        if self.kind == "uniform":
-            return self.param * (1.0 - u)
-        if self.kind == "rational":
-            return u / (1.0 - u)
-        if self.kind == "pareto":
-            return 1.0 / (1.0 - u)
-        return -math.log(1.0 - u) / self.param
-
 
 @dataclass(frozen=True)
 class KnowledgeRegime:
@@ -121,32 +110,26 @@ def critical_rate(k: int, u: float, value: float) -> float:
 
 
 def renege_position(req, k: int, length: int, elapsed: float,
-                    delta_k: int) -> tuple[bool, float | None]:
+                    delta_k: int) -> bool:
     """Stay/renege decision from observed queue progress alone.
 
     ``length`` is the queue length at entrance (including the request),
     ``k`` the current position, ``elapsed`` the waiting time so far. The
     progress-based serving-rate estimate is only trusted for the first
     delta_k observed departures; once the request has advanced past that
-    probation band it waits unconditionally. Returns (wait, deadline): the
-    deadline is the waiting time since entrance at which the in-band bound
-    crosses the current position if it never changes again.
+    probation band it waits unconditionally. Returns True to wait.
     """
     if k > length:
         raise InvalidInputError("position cannot exceed the entrance length")
     if k < 1:
         raise InvalidInputError("position must be at least 1 while queued")
     if length - k > delta_k:
-        return True, None
+        return True
     value = req.profit_rate * req.lifetime
     u = req.waiting_cost_rate
     if u <= 0:
-        return True, None
-    wait = k * (u * elapsed + value) <= length * value
-    if not wait:
-        return False, None
-    deadline = value * (length - k) / (u * k) if k < length else None
-    return True, deadline
+        return True
+    return k * (u * elapsed + value) <= length * value
 
 
 def renege_avg_wait(req, mean_wait: float) -> bool:

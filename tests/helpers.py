@@ -2,8 +2,9 @@
 check: exact-rational region enumeration, a truncated balance-equation
 linear solve, closed-form series integrals, a literal pass-by-pass
 interpreter of the queue-serving algorithm, the full-knowledge tenant's
-expected wait and stay/renege rule written as plain loops, and a run's
-issued-request tallies by a scan of its records."""
+expected wait and stay/renege rule written as plain loops, a run's
+issued-request tallies by a scan of its records, its occupancy law and
+time-averaged state, and inverse-CDF lifetime draws."""
 from __future__ import annotations
 
 import math
@@ -217,3 +218,36 @@ def issued_tallies(records, n_types: int):
             profiting[t] += r.end_profit > 0
             wait += r.wait
     return n_issued, profit, profiting, wait
+
+
+def occupancy_pmf(metrics) -> dict:
+    """A run's occupancy as a law: time share per state (or queue length)."""
+    total = sum(metrics.occupancy.values())
+    if total <= 0:
+        return {}
+    return {s: dt / total for s, dt in metrics.occupancy.items()}
+
+
+def state_mean(metrics) -> np.ndarray:
+    """A run's time-averaged active-slice vector (queue length for the
+    isolated queue)."""
+    total = sum(metrics.occupancy.values())
+    mean = np.zeros(metrics.n_types)
+    if total <= 0:
+        return mean
+    for state, dt in metrics.occupancy.items():
+        mean += dt * np.asarray(state, dtype=float)
+    return mean / total
+
+
+def lifetime_sample(dist, rng) -> float:
+    """One draw of a ``tenants.LifetimeDistribution`` by inversion of its CDF."""
+    u = rng.random()
+    # 1-u lies in (0, 1]: keeps every draw strictly positive
+    if dist.kind == "uniform":
+        return dist.param * (1.0 - u)
+    if dist.kind == "rational":
+        return u / (1.0 - u)
+    if dist.kind == "pareto":
+        return 1.0 / (1.0 - u)
+    return -math.log(1.0 - u) / dist.param

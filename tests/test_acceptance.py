@@ -31,8 +31,10 @@ from sliceq.tenants import KnowledgeRegime
 
 from helpers import (
     balance_equation_pmf,
+    occupancy_pmf,
     rational_regions,
     reference_serve,
+    state_mean,
     tv_distance,
     tv_from_dict,
 )
@@ -105,12 +107,12 @@ def test_ac3_simulation_matches_analytics():
         m = isolated_queue_sim(params, horizon=7e5, seed=31,
                                collect_records=False)
         events = sum(m.arrivals) + sum(m.acceptances) + sum(m.reneges)
-        tv = tv_from_dict(m.occupancy_pmf(), impatient_pmf(params))
+        tv = tv_from_dict(occupancy_pmf(m), impatient_pmf(params))
 
         params0 = QueueParams(1.0, 1.0, 1.0, 0.0)
         m0 = isolated_queue_sim(params0, horizon=7e5, seed=32,
                                 collect_records=False)
-        p0_emp = m0.occupancy_pmf()[(0,)]
+        p0_emp = occupancy_pmf(m0)[(0,)]
         p0_err = abs(p0_emp - 1.0 / (math.e - 1.0))
         elapsed = time.time() - start
         st["detail"] = (f"{events} events, TV {tv:.4f}, "
@@ -127,8 +129,8 @@ def test_ac4_patient_queue_sanity():
         m = isolated_queue_sim(params, horizon=6e5, seed=33)
         events = sum(m.arrivals) + sum(m.acceptances)
         geo = 0.5 * 0.5 ** np.arange(80)
-        tv = tv_from_dict(m.occupancy_pmf(), geo)
-        mean_len = m.state_mean()[0]
+        tv = tv_from_dict(occupancy_pmf(m), geo)
+        mean_len = state_mean(m)[0]
         waits = [r.wait for r in m.records if r.disposition == "accepted"]
         little_err = abs(mean_len - (m.joined[0] / m.horizon) * np.mean(waits)) / mean_len
         st["detail"] = (f"{events} events, TV {tv:.4f}, "

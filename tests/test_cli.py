@@ -277,6 +277,42 @@ def test_markov_refuses_rounds_with_given_empty_probs(capsys):
     assert "--fixed-point-rounds" in err
 
 
+def test_markov_fixed_point_round_returns_its_own_solve(capsys):
+    # one round solves the chain once with the bootstrap's rates, as no round
+    # does: it returns that solve's rates, not a blend with the bootstrap's,
+    # and it is not converged unless the rates settled
+    argv = ("markov", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0", "--seed", "1")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    plain = json.loads(out)
+    code, out, _ = _run(capsys, *argv, "--fixed-point-rounds", "1")
+    assert code == 0
+    one_round = json.loads(out)
+    assert one_round["acceptance_rates"] == plain["acceptance_rates"]
+    assert one_round["u_sigma"] == plain["u_sigma"]
+    assert plain["converged"] is True
+    assert one_round["converged"] is False
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("analyze", "--lam", "1", "--mu", "2", "--pmf-entries", "-3"), "--pmf-entries"),
+    (("markov", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0",
+      "--top-k", "-350"), "--top-k"),
+    (("simulate", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
+      "--horizon", "2", "--threads", "0"), "--threads"),
+])
+def test_cli_refuses_counts_below_their_range(tmp_path, capsys, argv, option):
+    # a negative count was taken as a slice from the end, and no thread as one
+    out_dir = tmp_path / "run"
+    if argv[0] == "simulate":
+        argv += ("--out", str(out_dir))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert option in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_search_command(capsys):
     code, out, _ = _run(capsys, "search", "--scenario", "builtin:demo",
                         "--n-strategies", "2", "--horizon", "8",

@@ -8,10 +8,8 @@ from sliceq.core import (
     Scenario,
     SliceType,
     Strategy,
-    assigned_resources,
     demo_scenario,
     enumerate_regions,
-    is_feasible,
     naive_strategy,
     random_strategy,
     tiny_scenario,
@@ -26,31 +24,11 @@ from sliceq.errors import (
 from helpers import rational_regions
 
 
-def test_assigned_resources_case_study():
-    a = assigned_resources([[0.6, 0.2]], [1, 2])
-    assert a == pytest.approx([1.0])
-
-
-def test_assigned_resources_zero_state():
-    a = assigned_resources([[0.6, 0.2], [0.1, 0.3]], [0, 0])
-    assert np.all(a == 0.0)
-
-
-def test_assigned_resources_hand_product():
-    a = assigned_resources([[0.01, 0.05], [0.05, 0.01]], [10, 10])
-    assert a == pytest.approx([0.6, 0.6])
-
-
-def test_assigned_resources_dimension_mismatch():
-    with pytest.raises(InvalidInputError):
-        assigned_resources([[0.6, 0.2]], [1, 2, 3])
-
-
 def test_feasibility_single_resource():
-    sc = tiny_scenario()
-    assert is_feasible(sc, [1, 2])          # 0.6 + 0.4 = 1.0
-    assert not is_feasible(sc, [2, 0])      # 1.2 > 1
-    assert is_feasible(sc, [0, 0])
+    feasible = set(enumerate_regions(tiny_scenario()).feasible)
+    assert (1, 2) in feasible               # 0.6 + 0.4 = 1.0
+    assert (2, 0) not in feasible           # 1.2 > 1
+    assert (0, 0) in feasible
 
 
 def test_tiny_region_counts():
@@ -111,7 +89,7 @@ def test_region_transitions_reverify_feasible():
         for t, target in enumerate(reg.next_feasible[i]):
             if target >= 0:
                 up = state[:t] + (state[t] + 1,) + state[t + 1:]
-                assert is_feasible(sc, up)
+                assert (sc.cost_matrix() @ up <= np.asarray(sc.resources) + 1e-9).all()
                 assert reg.state(target) == up
 
 
@@ -154,7 +132,7 @@ def test_preference_validation():
 def test_naive_strategy_constant_columns():
     reg = enumerate_regions(tiny_scenario())
     strat = naive_strategy(reg, [2, 1, 0])
-    assert strat.n_columns == reg.n_admissible
+    assert len(strat.columns) == reg.n_admissible
     assert all(col == (2, 1, 0) for col in strat.columns)
 
 

@@ -26,7 +26,6 @@ from sliceq.engine import (
     TAG_ARRIVAL,
     TAG_LIFETIME,
     SimConfig,
-    greedy_single_queue_baseline,
     isolated_queue_sim,
     run_monte_carlo,
     run_replication,
@@ -42,7 +41,14 @@ from sliceq.tenants import (
     renege_serving_rate,
 )
 
-from helpers import expected_wait, issued_tallies, renege_full, tv_from_dict
+from helpers import (
+    expected_wait,
+    issued_tallies,
+    occupancy_pmf,
+    renege_full,
+    state_mean,
+    tv_from_dict,
+)
 
 DEMO = demo_scenario()
 DEMO_REGION = enumerate_regions(DEMO)
@@ -132,7 +138,7 @@ def test_max_assigned_is_the_largest_visited_load(kind):
     cfg = SimConfig(horizon=60.0, master_seed=11, warmup_fraction=0.0,
                     knowledge=regime, initial_state="random_feasible")
     if kind == "greedy_single":
-        m = greedy_single_queue_baseline(DEMO, cfg, region=DEMO_REGION)
+        m = run_replication(DEMO, None, cfg, 0, region=DEMO_REGION, single_queue=True)
     else:
         m = run_replication(DEMO, strat, cfg, 0, region=DEMO_REGION)
     costs = DEMO.cost_matrix()
@@ -202,7 +208,7 @@ def test_single_type_greedy_equals_multi_queue():
     region = enumerate_regions(sc)
     cfg = SimConfig(horizon=200.0, master_seed=11, queue_cap=50)
     multi = run_replication(sc, naive_strategy(region, [1, 0]), cfg, region=region)
-    single = greedy_single_queue_baseline(sc, cfg, region=region)
+    single = run_replication(sc, None, cfg, 0, region=region, single_queue=True)
     assert multi.acceptance_times == single.acceptance_times
     assert [(r.request_id, r.disposition) for r in multi.records] \
         == [(r.request_id, r.disposition) for r in single.records]
@@ -215,7 +221,7 @@ def test_greedy_single_queue_head_blocks():
     cfg = SimConfig(horizon=120.0, master_seed=13, queue_cap=100)
     multi = run_replication(sc, naive_strategy(region, [2, 1, 0]), cfg,
                             region=region)
-    single = greedy_single_queue_baseline(sc, cfg, region=region)
+    single = run_replication(sc, None, cfg, 0, region=region, single_queue=True)
     # the multi-queue controller never serves fewer small slices
     assert multi.acceptances[1] >= single.acceptances[1]
     assert single.conservation_ok()
@@ -355,8 +361,8 @@ def test_isolated_patient_geometric_occupancy_and_little():
     params = QueueParams(1.0, 2.0)
     m = isolated_queue_sim(params, horizon=4e5, seed=3)
     geo = 0.5 * 0.5 ** np.arange(60)
-    assert tv_from_dict(m.occupancy_pmf(), geo) <= 0.01
-    mean_len = m.state_mean()[0]
+    assert tv_from_dict(occupancy_pmf(m), geo) <= 0.01
+    mean_len = state_mean(m)[0]
     waits = [r.wait for r in m.records if r.disposition == "accepted"]
     lam_eff = m.joined[0] / m.horizon
     assert abs(mean_len - lam_eff * np.mean(waits)) / mean_len <= 0.05
@@ -365,13 +371,13 @@ def test_isolated_patient_geometric_occupancy_and_little():
 def test_isolated_impatient_occupancy_matches_pmf():
     params = QueueParams(1.0, 1.0, 1.0, 0.5)
     m = isolated_queue_sim(params, horizon=3e5, seed=7, collect_records=False)
-    assert tv_from_dict(m.occupancy_pmf(), impatient_pmf(params)) <= 0.02
+    assert tv_from_dict(occupancy_pmf(m), impatient_pmf(params)) <= 0.02
 
 
 def test_isolated_empty_prob_closed_form():
     params = QueueParams(1.0, 1.0, 1.0, 0.0)
     m = isolated_queue_sim(params, horizon=3e5, seed=11, collect_records=False)
-    assert m.occupancy_pmf()[(0,)] == pytest.approx(1.0 / (math.e - 1.0), abs=0.01)
+    assert occupancy_pmf(m)[(0,)] == pytest.approx(1.0 / (math.e - 1.0), abs=0.01)
 
 
 def test_isolated_extreme_balking():
@@ -474,7 +480,7 @@ def test_greedy_single_queue_run_is_pinned(kind, queue_cap, reneges, digest):
     # run with reneging cascades and one with an uncapped queue
     cfg = SimConfig(horizon=1000, master_seed=3, queue_cap=queue_cap,
                     knowledge=KnowledgeRegime(kind), initial_state="random_full")
-    m = greedy_single_queue_baseline(DEMO, cfg, 1, region=DEMO_REGION)
+    m = run_replication(DEMO, None, cfg, 1, region=DEMO_REGION, single_queue=True)
     assert m.reneges == reneges
     assert len(m.records) == 16014
     assert _records_sha256(m) == digest
@@ -545,7 +551,7 @@ def test_whole_run_is_pinned(kind, queue_cap, digest):
                     knowledge=KnowledgeRegime("full" if single else kind, risk_factor=0.5),
                     initial_state="random_full")
     if single:
-        m = greedy_single_queue_baseline(DEMO, cfg, 1, region=DEMO_REGION)
+        m = run_replication(DEMO, None, cfg, 1, region=DEMO_REGION, single_queue=True)
     else:
         strat = random_strategy(DEMO_REGION, substream(7, 0, 999))
         m = run_replication(DEMO, strat, cfg, 1, region=DEMO_REGION)
@@ -574,7 +580,7 @@ def test_position_stay_rule_equals_renege_position(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "renege_position", lambda *a: calls.append(a) or renege_position(*a))
         got = engine._stays_on_progress(sim, i, None)(req, pos)
-    assert got == renege_position(req, pos, length, sim.now, delta_k)[0]
+    assert got == renege_position(req, pos, length, sim.now, delta_k)
     assert bool(calls) == (advanced <= delta_k)
 
 
@@ -619,7 +625,7 @@ def _rescan_from_head(sim, i):
         if kind == "position":
             pos = next((pos for pos, req in enumerate(queue, start=1)
                         if not renege_position(req, pos, req.entry_queue_length,
-                                               sim.now - req.enter_time, delta_k)[0]), 0)
+                                               sim.now - req.enter_time, delta_k)), 0)
         elif (mu := stats.service_rate()) is None:
             return
         elif kind == "serving_rate":

@@ -26,12 +26,13 @@ from sliceq.markov import (
     build_transition_matrix,
     empty_probs_from_analytics,
     estimate_acceptance_rates,
-    instant_utility,
     long_run_distribution,
     strategy_search,
     utility_metrics,
 )
 from sliceq.tenants import KnowledgeRegime
+
+from helpers import state_mean
 
 
 def _open_scenario():
@@ -221,36 +222,16 @@ def test_acceptance_rates_match_simulation_occupancy():
     cfg = SimConfig(horizon=2000.0, master_seed=3, queue_cap=100)
     m = run_replication(sc, strat, cfg, region=region)
     eta = np.array([st.release_rate for st in sc.slice_types])
-    predicted = m.state_mean() * eta
+    predicted = state_mean(m) * eta
     measured = m.measured_acceptance_rates()
     assert np.all(np.abs(predicted - measured) / measured < 0.05)
 
 
-def test_instant_utility():
-    assert instant_utility([0, 0], [1.0, 1.5]) == 0.0
-    assert instant_utility([1, 2], [1.0, 1.5]) == pytest.approx(4.0)
-    assert instant_utility([2, 1], [1.5, 1.0]) == pytest.approx(4.0)
-
-
 def test_utility_metrics_values():
-    out = utility_metrics([1.0, 1.0], [0.2, 1 / 3], [1.0, 1.5])
-    assert out["u_sigma"] == pytest.approx(9.5)
-    single = utility_metrics([0.4], [0.2], [2.0])
-    assert single["u_sigma"] == pytest.approx(4.0)
-
-
-def test_utility_metrics_weighted_means():
-    out = utility_metrics(
-        [1.0, 1.0], [0.2, 0.5], [1.0, 1.0],
-        mean_lengths=[2.0, 6.0], mean_waits=[1.0, 3.0],
-        arrival_rates=[1.0, 3.0], accept_probs=[0.5, 0.5],
-    )
-    assert out["mean_wait"] == pytest.approx((2.0 + 18.0) / 8.0)
-    assert out["admission_rate"] == pytest.approx(0.5)
-    empty = utility_metrics([1.0], [1.0], [1.0], mean_lengths=[0.0],
-                            mean_waits=[0.0])
-    assert empty["mean_wait"] == 0.0
-    assert empty["mean_wait_empty"]
+    assert utility_metrics([1.0, 1.0], [0.2, 1 / 3], [1.0, 1.5]) == pytest.approx(9.5)
+    assert utility_metrics([0.4], [0.2], [2.0]) == pytest.approx(4.0)
+    with pytest.raises(InvalidInputError):
+        utility_metrics([-0.4], [0.2], [2.0])
 
 
 def test_empty_probs_from_analytics():
@@ -296,7 +277,7 @@ def _result_digest(res: dict) -> str:
 # rounds, and given queue-empty probabilities, which take one undamped round
 @pytest.mark.parametrize("rounds,empty_probs,digest", [
     (0, None, "5d91b34ad58a8154ca87e9139fe72c2b6f934f4e89f001805dd2c8492d4eb4fe"),
-    (3, None, "e91d57085747624f046ff252164abaf6dca23f6edfe591f49cc2d3eaf70fad84"),
+    (3, None, "5d9d6b666872ed5047397f60c82fe6457a8027070ad71c0e2631f719a237d7dc"),
     (0, (0.3, 0.6), "c3d1823f31cf453d057960460ae524a58d9061eef422e88838c92460bf121bae"),
     (3, (0.3, 0.6), "c3d1823f31cf453d057960460ae524a58d9061eef422e88838c92460bf121bae"),
 ])

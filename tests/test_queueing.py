@@ -10,68 +10,17 @@ import pytest
 from scipy.integrate import quad
 
 from sliceq.engine import isolated_queue_sim
-from sliceq.errors import DivergentQueueError, InvalidInputError
+from sliceq.errors import InvalidInputError
 from sliceq.queueing import (
     QueueParams,
-    balking_prob,
     impatient_pmf,
     join_accept_probs,
-    little_mean_length,
-    mm1_pmf,
-    wait_cdf,
     wait_densities,
 )
 
 from helpers import balance_equation_pmf, series_mean_oracle, series_norm_oracle, tv_distance
 
 REF = QueueParams(1.0, 1.0, 1.0, 0.5)
-
-
-def test_mm1_pmf_values():
-    p = QueueParams(1.0, 2.0)
-    assert mm1_pmf(p, 0) == pytest.approx(0.5)
-    assert mm1_pmf(p, 3) == pytest.approx(0.0625)
-
-
-def test_mm1_pmf_divergent():
-    with pytest.raises(DivergentQueueError):
-        mm1_pmf(QueueParams(2.0, 2.0), 0)
-
-
-def test_mm1_pmf_rejects_impatient_params():
-    with pytest.raises(InvalidInputError):
-        mm1_pmf(REF, 0)
-
-
-def test_little():
-    assert little_mean_length(2.0, 0.5) == pytest.approx(1.0)
-    assert little_mean_length(0.0, 3.0) == 0.0
-    # cross-check with the geometric queue identity L = rho/(1-rho)
-    lam, mu = 6.0, 8.0
-    mean_wait = 1.0 / (mu - lam)
-    assert little_mean_length(lam, mean_wait) == pytest.approx(
-        (lam / mu) / (1 - lam / mu)
-    )
-
-
-def test_wait_cdf():
-    p = QueueParams(1.0, 2.0)
-    assert wait_cdf(p, -1.0) == 0.0
-    assert wait_cdf(p, math.log(2.0)) == pytest.approx(0.5)
-    assert wait_cdf(p, 80.0) == pytest.approx(1.0)
-    with pytest.raises(DivergentQueueError):
-        wait_cdf(QueueParams(2.0, 2.0), 1.0)
-
-
-def test_balking_prob_models():
-    p = QueueParams(1.0, 1.0, 0.0, 0.5)
-    assert balking_prob("exponential", p, 0) == 1.0
-    assert balking_prob("hyperbolic", p, 2) == pytest.approx(0.25)
-    assert balking_prob("hyperbolic", p, 0) == 1.0
-    assert balking_prob("linear", p, 10, l_max=10) == 0.0
-    assert balking_prob("linear", p, 3, l_max=10) == pytest.approx(0.7)
-    with pytest.raises(InvalidInputError):
-        balking_prob("linear", p, 3)
 
 
 def test_impatient_pmf_closed_form_point():

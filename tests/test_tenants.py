@@ -20,7 +20,7 @@ from sliceq.tenants import (
     renege_serving_rate,
 )
 
-from helpers import expected_wait, renege_full
+from helpers import expected_wait, lifetime_sample, renege_full
 
 
 def _req(lifetime=5.0, issue_cost=0.0, u=1.0, zeta=8.0):
@@ -100,7 +100,7 @@ def test_empirical_balk_rate_matches_balking_chance():
         draws = 20_000
         joins = 0
         for _ in range(draws):
-            req = _req(lifetime=dist.sample(rng), zeta=zeta, u=u)
+            req = _req(lifetime=lifetime_sample(dist, rng), zeta=zeta, u=u)
             joins += balk_decision(req, l, mu)
         expected = balking_chance(dist, l, mu, u, zeta)
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / draws)
@@ -113,7 +113,7 @@ def test_lifetime_samples_positive_and_match_cdf():
                  LifetimeDistribution("rational"),
                  LifetimeDistribution("pareto"),
                  LifetimeDistribution("exponential", 2.0)):
-        xs = np.array([dist.sample(rng) for _ in range(20_000)])
+        xs = np.array([lifetime_sample(dist, rng) for _ in range(20_000)])
         assert (xs > 0).all()
         for q in (0.25, 0.5, 0.75):
             x = float(np.quantile(xs, q))
@@ -151,7 +151,7 @@ def test_free_waiting_always_stays():
     # a zero waiting cost rate once divided by zero in the serving-rate rule
     req = _req(u=0.0)
     assert renege_serving_rate(req, 10**6, 1e-9)
-    assert renege_position(req, 1, 1, 1e9, 1)[0]
+    assert renege_position(req, 1, 1, 1e9, 1)
     assert math.isinf(renege_blind(req, 1.0))
     assert critical_rate(10**6, 0.0, 40.0) == 0.0
 
@@ -185,38 +185,36 @@ def test_regime_dominance():
 def test_renege_position_in_band_bound():
     req = _req(lifetime=5, zeta=8, u=1)  # value 40
     # within the probation band the progress estimate drives the decision
-    wait, deadline = renege_position(req, k=9, length=10, elapsed=1.0, delta_k=2)
-    assert wait
-    assert deadline == pytest.approx(40.0 * 1 / 9)
-    # the bound decays with elapsed time
-    wait, deadline = renege_position(req, k=9, length=10, elapsed=10.0, delta_k=2)
-    assert not wait and deadline is None
+    assert renege_position(req, k=9, length=10, elapsed=1.0, delta_k=2)
+    # the bound decays with elapsed time: it crosses k = 9 at T = 40/9
+    assert renege_position(req, k=9, length=10, elapsed=40.0 / 9 - 1e-9, delta_k=2)
+    assert not renege_position(req, k=9, length=10, elapsed=40.0 / 9 + 1e-9, delta_k=2)
+    assert not renege_position(req, k=9, length=10, elapsed=10.0, delta_k=2)
 
 
 def test_renege_position_band_edge_deadline():
-    # at the edge of a wide band the crossing time solves k = l*v/(u*T + v)
+    # at the edge of a wide band the crossing time solves k = l*v/(u*T + v):
+    # T = 40, where the tie still waits
     req = _req(lifetime=5, zeta=8, u=1)
-    wait, deadline = renege_position(req, k=5, length=10, elapsed=1.0, delta_k=5)
-    assert wait
-    assert deadline == pytest.approx(40.0)
+    assert renege_position(req, k=5, length=10, elapsed=1.0, delta_k=5)
+    assert renege_position(req, k=5, length=10, elapsed=40.0, delta_k=5)
+    assert not renege_position(req, k=5, length=10, elapsed=40.0 + 1e-9, delta_k=5)
 
 
 def test_renege_position_deep_progress_waits():
     req = _req(lifetime=0.1, zeta=8, u=1)
     # past the probation band the tenant no longer reneges at all
-    wait, deadline = renege_position(req, k=3, length=10, elapsed=1e9, delta_k=2)
-    assert wait and deadline is None
+    assert renege_position(req, k=3, length=10, elapsed=1e9, delta_k=2)
     # at the band's edge: one position past it waits, on it the stall still
     # counts; the engine tests the band before it calls, other callers do not
     for delta_k in (1, 2, 5):
-        assert renege_position(req, 2, delta_k + 3, 1e9, delta_k) == (True, None)
-        assert renege_position(req, 3, delta_k + 3, 1e9, delta_k) == (False, None)
+        assert renege_position(req, 2, delta_k + 3, 1e9, delta_k) is True
+        assert renege_position(req, 3, delta_k + 3, 1e9, delta_k) is False
 
 
 def test_renege_position_long_stall_reneges():
     req = _req(lifetime=5, zeta=8, u=1)
-    wait, _ = renege_position(req, k=10, length=11, elapsed=1e9, delta_k=2)
-    assert not wait
+    assert not renege_position(req, k=10, length=11, elapsed=1e9, delta_k=2)
 
 
 def test_renege_position_validation():
@@ -248,7 +246,7 @@ def test_renege_blind_deadline_is_exponential():
     dist = LifetimeDistribution("exponential", eta)
     deadlines = []
     for _ in range(50_000):
-        req = _req(lifetime=dist.sample(rng), zeta=zeta, u=u)
+        req = _req(lifetime=lifetime_sample(dist, rng), zeta=zeta, u=u)
         deadlines.append(renege_blind(req, risk))
     fit = fit_exponential(deadlines)
     expected_rate = eta * u / (risk * zeta)

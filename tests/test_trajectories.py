@@ -1,5 +1,7 @@
-"""Trajectory bit-identity: the benchmark's pinned runs still hash to the
-digests kept in ``bench/digests.json``."""
+"""The benchmark's contract with the package: its pinned runs still hash to
+the digests kept in ``bench/digests.json``, and every name it reads exists."""
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -16,3 +18,15 @@ def test_pinned_run_digests_match_bench_reference():
                          capture_output=True, text=True, timeout=300, check=True)
     reference = json.loads((ROOT / "bench" / "digests.json").read_text())
     assert json.loads(out.stdout) == reference
+
+
+def test_every_name_the_benchmark_reads_resolves(monkeypatch):
+    # the traced run swaps wrappers in for these names; one deleted from the
+    # package would fail only there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, *_ in tracing.SPANS + tracing.LEAVES:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    from sliceq.markov import LongRunResult
+    assert "iterations" in {f.name for f in dataclasses.fields(LongRunResult)}
