@@ -398,11 +398,10 @@ def random_strategy(region: RegionIndex, rng, reserve_last: bool = True) -> Stra
     column, so some queue is always considered before reserving.
     """
     n_types = len(region.feasible[0])
-    cols = []
-    for _ in range(region.n_admissible):
-        if reserve_last:
-            body = rng.permutation(np.arange(1, n_types + 1))
-            cols.append(tuple(int(x) for x in body) + (0,))
-        else:
-            cols.append(tuple(int(x) for x in rng.permutation(n_types + 1)))
-    return Strategy(columns=tuple(cols), scenario_fingerprint=region.scenario_fingerprint)
+    first = 1 if reserve_last else 0
+    # one row shuffle per state, in order: the draws of one rng.permutation
+    # per state, made in a single call
+    rows = rng.permuted(np.tile(np.arange(first, n_types + 1), (region.n_admissible, 1)), axis=1)
+    reserve = (0,) if reserve_last else ()
+    return Strategy(columns=tuple(tuple(row) + reserve for row in rows.tolist()),
+                    scenario_fingerprint=region.scenario_fingerprint)

@@ -22,6 +22,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -62,7 +63,7 @@ TAG_PATIENCE = 72
 # stay zero until this many reneges have been observed
 MIN_SERVICE_OBSERVATIONS = 10
 
-DRAW_BLOCK = 512  # exponentials drawn per refill of a single-scale stream
+DRAW_BLOCK = 512  # draws per refill of a block-drawn stream
 
 # The critical-rate filter skips an exact decision when mu clears a bound by
 # FILTER_SLACK. A decision's sides are products, quotients and, at position
@@ -78,11 +79,12 @@ def substream(master_seed: int, replication: int, tag: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(seq))
 
 
-def exponential_draws(rng: np.random.Generator, scale: float):
-    """Successive Exp(scale) draws of ``rng``, drawn a block at a time; a
-    block holds the same doubles as that many scalar draws."""
+def block_draws(sample, *args):
+    """Successive draws of the sampler ``sample(*args)``, say
+    ``rng.exponential`` with its scale or ``rng.random``, drawn a block at a
+    time; a block holds the same doubles as that many scalar draws."""
     while True:
-        yield from rng.exponential(scale, DRAW_BLOCK).tolist()
+        yield from sample(*args, DRAW_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -343,10 +345,12 @@ class _Simulation:
         seed = config.master_seed
         self.rng_init = substream(seed, replication, TAG_INIT)
         types = scenario.slice_types
-        self.interarrivals = [exponential_draws(substream(seed, replication, TAG_ARRIVAL + t),
-                                                1.0 / types[t].arrival_rate) for t in range(n)]
-        self.lifetimes = [exponential_draws(substream(seed, replication, TAG_LIFETIME + t),
-                                            types[t].mean_lifetime) for t in range(n)]
+        self.interarrivals = [
+            block_draws(substream(seed, replication, TAG_ARRIVAL + t).exponential,
+                        1.0 / types[t].arrival_rate) for t in range(n)]
+        self.lifetimes = [
+            block_draws(substream(seed, replication, TAG_LIFETIME + t).exponential,
+                        types[t].mean_lifetime) for t in range(n)]
 
         self.ctrl = ControllerState(region=self.region,
                                     queues=[deque()] if single_queue else [],
@@ -364,6 +368,10 @@ class _Simulation:
         # per queue, for the two stay rules it screens: a bound above each
         # waiting request's critical rate
         self.bounds = [0.0] * n_queues if kind in ("serving_rate", "full") else None
+        # per queue, for the position stay rule: the next request id at each of
+        # the queue's last delta_k + 1 acceptances
+        self.stamps = ([deque(maxlen=config.knowledge.delta_k + 1) for _ in range(n_queues)]
+                       if kind == "position" else None)
 
         self.assigned_by_index = (
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
@@ -456,8 +464,8 @@ class _Simulation:
                                   len(queue) + 1)
 
     def _reevaluate_queue(self, i: int) -> None:
-        """Let every tenant waiting in queue ``i`` re-decide; cascades until no
-        one reneges."""
+        """Let every tenant waiting in queue ``i`` that can still renege
+        re-decide; cascades until no one reneges."""
         if self.stay_rule is None:
             return
         queue = self.ctrl.queues[i]
@@ -471,8 +479,9 @@ class _Simulation:
         # goes on behind each renege, with the stay rule built again, decides
         # as a rescan from the head would.
         stays = self.stay_rule(self, i, mu)
-        pos = 1
-        for req in list(queue):
+        waiting = list(queue) if self.stamps is None else self._may_renege(i)
+        pos = len(queue) - len(waiting) + 1
+        for req in waiting:
             if stays(req, pos):
                 pos += 1
             else:
@@ -481,6 +490,20 @@ class _Simulation:
         if self.bounds is not None:
             self.bounds[i] = max((critical_rate(k, r.waiting_cost_rate, r.profit_rate * r.lifetime)
                                   for k, r in enumerate(queue, start=1)), default=0.0)
+
+    def _may_renege(self, i: int) -> list[PendingRequest]:
+        """The requests of queue ``i`` that a position pass must visit.
+
+        Acceptances leave from the head, so a request that joined before the
+        queue's last delta_k + 1 of them has advanced past its probation band
+        and stays for good; the rest have the larger ids, a tail of the queue.
+        """
+        stamps = self.stamps[i]
+        oldest = stamps[0] if len(stamps) == stamps.maxlen else 0
+        tail = list(takewhile(lambda req: req.request_id >= oldest,
+                              reversed(self.ctrl.queues[i])))
+        tail.reverse()
+        return tail
 
     def _join(self, i: int, req: PendingRequest) -> None:
         """Raise queue ``i``'s critical-rate bound for a request that joined it."""
@@ -506,7 +529,10 @@ class _Simulation:
         wait = self.now - req.enter_time
         self.metrics.acceptances[t] += 1
         self._push(self.now + req.lifetime, PRIO_RELEASE, "release", req.slice_type)
-        self.stats[self.queue_index[t]].note_accept(wait)
+        i = self.queue_index[t]
+        self.stats[i].note_accept(wait)
+        if self.stamps is not None:
+            self.stamps[i].append(self._next_id)
         if self.now >= self.warmup_time:
             self.metrics.acceptance_times[t].append(self.now)
         self._record(req, "accepted", wait, end_profit(req, True, wait))
@@ -643,113 +669,103 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     """
     lam, mu = params.arrival_rate, params.service_rate
     alpha, beta = params.reneging_rate, params.balking_exponent
-    rng_arr = substream(seed, 0, TAG_ARRIVAL)
-    rng_srv = substream(seed, 0, TAG_SERVICE)
-    rng_balk = substream(seed, 0, TAG_BALK)
-    rng_pat = substream(seed, 0, TAG_PATIENCE)
+    gaps = block_draws(substream(seed, 0, TAG_ARRIVAL).exponential, 1.0 / lam)
+    epochs = block_draws(substream(seed, 0, TAG_SERVICE).exponential, 1.0 / mu)
+    coins = block_draws(substream(seed, 0, TAG_BALK).random)
+    patience = (block_draws(substream(seed, 0, TAG_PATIENCE).exponential, 1.0 / alpha)
+                if alpha > 0 else None)
 
-    metrics = RunMetrics(
-        n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
-        replication=0, arrivals=[0], joined=[0], balks=[0],
-        cap_rejections=[0], reneges=[0], acceptances=[0], still_waiting=[0],
-        acceptance_times=[[]], records=[], occupancy={}, busy_time=[0.0],
-        queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
-        issued_wait=0.0,
-    )
-
-    heap: list = []
-    seq = 0
-    service_token = 0
+    # one flat loop: the counters stay local until the run ends, and the
+    # occupancy is keyed by length in first-visit order
+    records: list = []
+    acceptance_times: list[float] = []
+    occupancy: dict[int, float] = {}
+    arrivals = balks = reneges = 0
+    busy = issued_wait = 0.0
     queue: deque = deque()
-    now = 0.0
     last_t = 0.0
     next_id = 1
-
-    def push(time, prio, kind, payload):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (time, prio, seq, kind, payload))
-
-    def integrate(time):
-        nonlocal last_t
-        dt = min(time, horizon) - last_t
-        last_t = time
-        if dt <= 0:
-            return
-        key = (len(queue),)
-        metrics.occupancy[key] = metrics.occupancy.get(key, 0.0) + dt
-        if queue:
-            metrics.busy_time[0] += dt
-
-    def schedule_service():
-        nonlocal service_token
-        service_token += 1
-        push(now + rng_srv.exponential(1.0 / mu), PRIO_RELEASE, "service", service_token)
-
-    push(rng_arr.exponential(1.0 / lam), PRIO_ARRIVAL, "arrival", None)
+    # a service epoch is live while its token is the latest one issued
+    service_token = 0
+    seq = 1
+    heap: list = [(next(gaps), PRIO_ARRIVAL, seq, "arrival", None)]
+    push, pop = heapq.heappush, heapq.heappop
 
     while heap:
-        time, _prio, _seq, kind, payload = heapq.heappop(heap)
-        if time > horizon:
+        now, _prio, _seq, kind, payload = pop(heap)
+        if now > horizon:
             break
-        integrate(time)
-        now = time
+        # every popped event adds its span, a stale one too
+        dt = now - last_t
+        last_t = now
+        if dt > 0:
+            n = len(queue)
+            occupancy[n] = occupancy.get(n, 0.0) + dt
+            if n:
+                busy += dt
         if kind == "arrival":
-            push(now + rng_arr.exponential(1.0 / lam), PRIO_ARRIVAL, "arrival", None)
-            metrics.arrivals[0] += 1
+            seq += 1
+            push(heap, (now + next(gaps), PRIO_ARRIVAL, seq, "arrival", None))
+            arrivals += 1
             rid = next_id
             next_id += 1
-            coin = rng_balk.random()
             entry_len = len(queue) + 1
-            join_prob = math.exp(-beta * entry_len / mu)
-            if coin > join_prob:
-                metrics.balks[0] += 1
+            if next(coins) > math.exp(-beta * entry_len / mu):
+                balks += 1
                 if collect_records:
-                    metrics.records.append(RequestRecord(
-                        rid, 1, now, 1.0, entry_len, "balked", 0.0, None))
+                    records.append(RequestRecord(rid, 1, now, 1.0, entry_len, "balked", 0.0, None))
                 continue
-            was_empty = not queue
             entry = [rid, now, False, entry_len]  # id, enter time, done
             queue.append(entry)
-            metrics.joined[0] += 1
-            if alpha > 0:
-                push(now + rng_pat.exponential(1.0 / alpha), PRIO_DEADLINE,
-                     "deadline", entry)
-            if was_empty:
-                schedule_service()
+            if patience is not None:
+                seq += 1
+                push(heap, (now + next(patience), PRIO_DEADLINE, seq, "deadline", entry))
+            if entry_len == 1:
+                service_token += 1
+                seq += 1
+                push(heap, (now + next(epochs), PRIO_RELEASE, seq, "service", service_token))
         elif kind == "service":
-            if payload != service_token:
-                continue
-            if not queue:
+            if payload != service_token or not queue:
                 continue
             entry = queue.popleft()
             rid, enter = entry[0], entry[1]
             entry[2] = True
-            metrics.acceptances[0] += 1
-            metrics.acceptance_times[0].append(now)
-            metrics.issued_wait += now - enter
+            acceptance_times.append(now)
+            issued_wait += now - enter
             if collect_records:
-                metrics.records.append(RequestRecord(
+                records.append(RequestRecord(
                     rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
+            # the next epoch, or none while the queue is empty
+            service_token += 1
             if queue:
-                schedule_service()
-            else:
-                service_token += 1  # cancel any pending epoch
+                seq += 1
+                push(heap, (now + next(epochs), PRIO_RELEASE, seq, "service", service_token))
         else:  # deadline: an entry has at most one, so one not done still waits
             entry = payload
             if entry[2]:
                 continue
             queue.remove(entry)
-            metrics.reneges[0] += 1
-            metrics.issued_wait += now - entry[1]
+            reneges += 1
+            issued_wait += now - entry[1]
             if collect_records:
-                metrics.records.append(RequestRecord(
-                    entry[0], 1, entry[1], 1.0, entry[3], "reneged",
-                    now - entry[1], None))
+                records.append(RequestRecord(
+                    entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
 
-    integrate(horizon)
-    metrics.still_waiting[0] = len(queue)
-    return metrics
+    dt = horizon - last_t
+    if dt > 0:
+        n = len(queue)
+        occupancy[n] = occupancy.get(n, 0.0) + dt
+        if n:
+            busy += dt
+    return RunMetrics(
+        n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
+        replication=0, arrivals=[arrivals], joined=[arrivals - balks], balks=[balks],
+        cap_rejections=[0], reneges=[reneges], acceptances=[len(acceptance_times)],
+        still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
+        occupancy={(n,): dt for n, dt in occupancy.items()}, busy_time=[busy],
+        queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
+        issued_wait=issued_wait,
+    )
 
 
 # -- Monte-Carlo driver ------------------------------------------------------

@@ -4,7 +4,8 @@ linear solve, closed-form series integrals, a literal pass-by-pass
 interpreter of the queue-serving algorithm, the full-knowledge tenant's
 expected wait and stay/renege rule written as plain loops, a run's
 issued-request tallies by a scan of its records, its occupancy law and
-time-averaged state, and inverse-CDF lifetime draws."""
+time-averaged state, inverse-CDF lifetime draws and random preference
+columns drawn one permutation at a time."""
 from __future__ import annotations
 
 import math
@@ -251,3 +252,16 @@ def lifetime_sample(dist, rng) -> float:
     if dist.kind == "pareto":
         return 1.0 / (1.0 - u)
     return -math.log(1.0 - u) / dist.param
+
+
+def permutation_columns(n_types: int, n_admissible: int, rng, reserve_last: bool = True):
+    """Random preference columns drawn with one ``rng.permutation`` per
+    admissible state, the reserve element 0 pinned last with ``reserve_last``."""
+    cols = []
+    for _ in range(n_admissible):
+        if reserve_last:
+            body = rng.permutation(np.arange(1, n_types + 1))
+            cols.append(tuple(int(x) for x in body) + (0,))
+        else:
+            cols.append(tuple(int(x) for x in rng.permutation(n_types + 1)))
+    return tuple(cols)

@@ -21,7 +21,7 @@ from sliceq.errors import (
     UnboundedRegionError,
 )
 
-from helpers import rational_regions
+from helpers import permutation_columns, rational_regions
 
 
 def test_feasibility_single_resource():
@@ -179,6 +179,26 @@ def test_random_strategy_seed_determinism():
     a = random_strategy(reg, np.random.default_rng(7), True)
     b = random_strategy(reg, np.random.default_rng(7), True)
     assert a.columns == b.columns
+
+
+def _three_type_scenario():
+    return Scenario(resources=(1.0, 1.0), slice_types=tuple(
+        SliceType(cost=c, arrival_rate=1, release_rate=1, profit_rate=1)
+        for c in ((0.06, 0.02), (0.02, 0.06), (0.04, 0.05))))
+
+
+@pytest.mark.parametrize("reserve_last", [True, False])
+@pytest.mark.parametrize("make_scenario", [demo_scenario, tiny_scenario, _three_type_scenario])
+def test_random_strategy_equals_one_permutation_per_state(make_scenario, reserve_last):
+    # the columns come from one row-wise shuffle; they must be the draws of
+    # one rng.permutation per admissible state, draw after draw of one stream
+    reg = enumerate_regions(make_scenario())
+    n_types = len(reg.feasible[0])
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert random_strategy(reg, rng, reserve_last).columns == \
+                permutation_columns(n_types, reg.n_admissible, ref, reserve_last)
 
 
 def test_strategy_serialization_round_trip(tmp_path):

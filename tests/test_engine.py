@@ -24,7 +24,10 @@ from sliceq.core import (
 from sliceq import engine
 from sliceq.engine import (
     TAG_ARRIVAL,
+    TAG_BALK,
     TAG_LIFETIME,
+    TAG_PATIENCE,
+    TAG_SERVICE,
     SimConfig,
     isolated_queue_sim,
     run_monte_carlo,
@@ -558,6 +561,36 @@ def test_whole_run_is_pinned(kind, queue_cap, digest):
     assert _run_sha256(m) == digest
 
 
+@pytest.mark.parametrize("params, collect_records, digest", [
+    ((1.0, 1.0, 0.5, 0.3), True,
+     "2a9e54876aee6d37efba349a39699b87d008562d9064ea1f724ec449158920b5"),
+    ((1.0, 1.0, 0.5, 0.3), False,
+     "9731a93c6730517aa1ec91d730b00dfe9016634a5a56920a2ce218fc943ef97c"),
+    # alpha = 0: no patience stream is drawn
+    ((2.0, 1.5, 0.0, 0.2), True,
+     "158d379ddc1ad6db930cff6e7524a4313e704e738b9fd7f2f95fd0678613036f"),
+    ((2.0, 1.5, 0.0, 0.2), False,
+     "a7cb07b72e761c780322e9ed6b90fd1eb42311038c891a4ec5ba07f448aef3d7"),
+    # beta = 0: every arrival joins
+    ((0.7, 3.0, 1.0, 0.0), True,
+     "bfdd5c111045d145a77967ce35ffb3b67ae5f47dc49fbcbd6c7c9ffed5db4e22"),
+    ((0.7, 3.0, 1.0, 0.0), False,
+     "dae34a5e0c1f1632ff6c9d74d4e0c7420963d42e8adcdaef7a5de1df0e6d4e8f"),
+])
+def test_isolated_run_is_pinned(params, collect_records, digest):
+    # the bench digest covers one parameter set and its records only; these
+    # also pin the occupancy (its order too), busy time, acceptance times,
+    # tallies and issued wait
+    m = isolated_queue_sim(QueueParams(*params), horizon=2e4, seed=7,
+                           collect_records=collect_records)
+    h = hashlib.sha256()
+    h.update(repr((m.records, list(m.occupancy.items()), m.busy_time, m.acceptance_times,
+                   m.arrivals, m.joined, m.balks, m.cap_rejections, m.reneges, m.acceptances,
+                   m.still_waiting, m.queued_accepts, m.profit, m.profiting,
+                   m.issued_wait)).encode())
+    assert h.hexdigest() == digest
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_position_stay_rule_equals_renege_position(data):
@@ -604,15 +637,20 @@ def test_free_waiting_runs_without_reneges(kind):
 @pytest.mark.parametrize("tag, scale", [
     (TAG_ARRIVAL + 1, 1.0 / DEMO.slice_types[1].arrival_rate),
     (TAG_LIFETIME, DEMO.slice_types[0].mean_lifetime),
+    (TAG_SERVICE, 1.0 / 1.5),
+    (TAG_PATIENCE, 1.0 / 0.5),
+    (TAG_BALK, None),  # the isolated queue's uniform balk coin
 ])
 def test_block_draws_equal_scalar_draws(tag, scale):
-    # the simulator draws each single-scale stream a block at a time; numpy
-    # must give the same doubles as one scalar draw after another
+    # the simulators draw each stream a block at a time; numpy must give the
+    # same doubles as one scalar draw after another
     n = 2 * engine.DRAW_BLOCK + 7
-    draws = engine.exponential_draws(substream(3, 1, tag), scale)
+    args = () if scale is None else (scale,)
+    sampler = "random" if scale is None else "exponential"
+    draws = engine.block_draws(getattr(substream(3, 1, tag), sampler), *args)
     blocked = [next(draws) for _ in range(n)]
     rng = substream(3, 1, tag)
-    assert blocked == [rng.exponential(scale) for _ in range(n)]
+    assert blocked == [getattr(rng, sampler)(*args) for _ in range(n)]
 
 
 def _rescan_from_head(sim, i):
@@ -680,6 +718,38 @@ def test_resumed_cascade_equals_rescan_from_head(kind, gate_open, data):
     assert [r.request_id for r in sim.ctrl.queues[i]] == \
         [r.request_id for r in ref.ctrl.queues[i]]
     _assert_columns_in_step(sim)
+
+
+@pytest.mark.parametrize("queue_cap", [100, None])
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("delta_k", [1, 2, 4])
+def test_position_runs_equal_rescans_of_every_request(delta_k, single, queue_cap):
+    # a position pass visits only the tail of the queue that joined after its
+    # last delta_k + 1 acceptances; whole runs must decide as the reference
+    # cascade, which re-decides every waiting request from the head
+    strat = None if single else random_strategy(DEMO_REGION, substream(5, 0, 999))
+    skipped = []
+    may_renege = engine._Simulation._may_renege
+
+    def counted(sim, i):
+        tail = may_renege(sim, i)
+        skipped.append(len(sim.ctrl.queues[i]) - len(tail))
+        return tail
+
+    for seed in range(2):
+        cfg = SimConfig(horizon=150.0, master_seed=seed, queue_cap=queue_cap,
+                        knowledge=KnowledgeRegime("position", delta_k=delta_k),
+                        initial_state="random_full")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Simulation, "_may_renege", counted)
+            got = run_replication(DEMO, strat, cfg, 1, region=DEMO_REGION, single_queue=single)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Simulation, "_reevaluate_queue", _rescan_from_head)
+            want = run_replication(DEMO, strat, cfg, 1, region=DEMO_REGION, single_queue=single)
+        assert sum(got.reneges) > 0
+        assert got.records == want.records
+        assert list(got.occupancy.items()) == list(want.occupancy.items())
+    assert max(skipped) > 0
 
 
 def _draw_published_stats(data, gate_open, min_accepts=engine.MIN_SERVICE_OBSERVATIONS):
