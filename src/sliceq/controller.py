@@ -155,6 +155,11 @@ def on_request(ctrl: ControllerState, strategy: Strategy | None, req: PendingReq
     omitted the tenant always joins. A request admitted within the same event
     (zero waiting time) is reported as accepted immediately. A ``None``
     strategy serves the single mixed queue.
+
+    The per-type queues are served to quiescence after every arrival and
+    release, and reneges only empty them, so a queue that already holds a
+    request has a head that does not fit or is ranked after the reserve
+    element: an arrival behind it leaves nothing to serve.
     """
     t = req.slice_type - 1
     if t < 0 or t >= len(ctrl.queue_index):
@@ -168,6 +173,8 @@ def on_request(ctrl: ControllerState, strategy: Strategy | None, req: PendingReq
     queue.append(req)
     if strategy is None:
         accepted = serve_mixed_queue(ctrl)
+    elif len(queue) > 1:
+        return Disposition.QUEUED, []
     else:
         accepted = serve_queues(ctrl, strategy)
     return Disposition.ACCEPTED_IMMEDIATELY if req.done else Disposition.QUEUED, accepted

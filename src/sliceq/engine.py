@@ -131,6 +131,8 @@ class RunMetrics:
     the warmup boundary. A request issued (accepted or reneged) adds its end
     profit to ``profit``, counts in ``profiting`` when that is positive and
     adds its wait to ``issued_wait``; ``records`` is an output only.
+    ``stale_pops`` counts the events the loop popped that found nothing to
+    do: superseded service epochs and deadlines of requests already done.
     """
 
     n_types: int
@@ -154,6 +156,7 @@ class RunMetrics:
     profit: list[float]
     profiting: list[int]
     issued_wait: float
+    stale_pops: int
 
     @property
     def n_issued(self) -> list[int]:
@@ -205,12 +208,6 @@ class _QueueStats:
         self.time_at_length: list[float] = [0.0]
         self.renege_counts: list[int] = [0]
         self.renege_total = 0
-
-    def note_accept(self, wait: float) -> None:
-        self.accept_count += 1
-        self.accept_wait_sum += wait
-        if wait > 0:
-            self.queued_accepts += 1
 
     def note_renege(self, position: int) -> None:
         while len(self.renege_counts) <= position:
@@ -358,7 +355,6 @@ class _Simulation:
         self.queue_index = self.ctrl.queue_index
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
-        self._queue_stats = list(zip(self.ctrl.queues, self.stats))
         kind = config.knowledge.kind
         self.entrance_rule, self.stay_rule = _REGIME_RULES[kind]
         # the time at each queue length feeds the published renege rates alone
@@ -377,16 +373,7 @@ class _Simulation:
             np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
         )
         self.now = 0.0
-        self._last_t = 0.0
-        self.horizon = config.horizon
         self.warmup_time = config.warmup_fraction * config.horizon
-        # state indices held for a positive time, and the measured time per
-        # state index; both are read once the run ends
-        self._visited: set[int] = set()
-        self._occupancy: dict[int, float] = {}
-        self.heap: list = []
-        self._seq = 0
-        self._next_id = 1
 
         self.metrics = RunMetrics(
             n_types=n, horizon=config.horizon, warmup_time=self.warmup_time,
@@ -397,14 +384,10 @@ class _Simulation:
             acceptance_times=[[] for _ in range(n)],
             records=[], profit=[0.0] * n, profiting=[0] * n, issued_wait=0.0,
             # read off the run's own accumulators once it ends
-            occupancy={}, busy_time=[], queued_accepts=[], max_assigned=[],
+            occupancy={}, busy_time=[], queued_accepts=[], max_assigned=[], stale_pops=0,
         )
 
     # -- plumbing ---------------------------------------------------------
-
-    def _push(self, time: float, prio: int, kind: str, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (time, prio, self._seq, kind, payload))
 
     def _emit(self, kind: str, slice_type: int, request_id) -> None:
         self.trace({
@@ -415,35 +398,6 @@ class _Simulation:
             "queue_lengths": [len(q) for q in self.ctrl.queues],
             "state": list(self.ctrl.state),
         })
-
-    def _integrate_to(self, time: float) -> None:
-        """Accumulate time-weighted quantities up to ``time``.
-
-        The published estimators run over the whole horizon; the
-        steady-state accumulators (occupancy) skip the warmup window.
-        """
-        lo = self._last_t
-        hi = min(time, self.horizon)
-        self._last_t = time
-        dt_full = hi - lo
-        if dt_full <= 0:
-            return
-        for q, stats in self._queue_stats:
-            if q:
-                stats.busy_time += dt_full
-        if self.lengths_timed:
-            for q, stats in self._queue_stats:
-                n, at_length = len(q), stats.time_at_length
-                while len(at_length) <= n:
-                    at_length.append(0.0)
-                at_length[n] += dt_full
-        index = self.ctrl.state_index
-        self._visited.add(index)
-        dt = hi - max(lo, self.warmup_time)
-        if dt <= 0:
-            return
-        occ = self._occupancy
-        occ[index] = occ.get(index, 0.0) + dt
 
     def _record(self, req: PendingRequest, disposition: str, wait: float,
                 profit: float | None) -> None:
@@ -522,80 +476,6 @@ class _Simulation:
         if self.trace is not None:
             self._emit("renege", req.slice_type, req.request_id)
 
-    # -- event handlers ----------------------------------------------------
-
-    def _accept(self, req: PendingRequest) -> None:
-        t = req.slice_type - 1
-        wait = self.now - req.enter_time
-        self.metrics.acceptances[t] += 1
-        self._push(self.now + req.lifetime, PRIO_RELEASE, "release", req.slice_type)
-        i = self.queue_index[t]
-        self.stats[i].note_accept(wait)
-        if self.stamps is not None:
-            self.stamps[i].append(self._next_id)
-        if self.now >= self.warmup_time:
-            self.metrics.acceptance_times[t].append(self.now)
-        self._record(req, "accepted", wait, end_profit(req, True, wait))
-        if self.trace is not None:
-            self._emit("accept", req.slice_type, req.request_id)
-
-    def _handle_arrival(self, t: int) -> None:
-        self._push(self.now + next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
-        st = self.scenario.slice_types[t]
-        req = PendingRequest(self._next_id, t + 1, self.now, next(self.lifetimes[t]),
-                             st.issue_cost, st.waiting_cost_rate, st.profit_rate)
-        self._next_id += 1
-        self.metrics.arrivals[t] += 1
-        if self.trace is not None:
-            self._emit("request", req.slice_type, req.request_id)
-
-        joins = None if self.entrance_rule is None else self._entrance_joins
-        disposition, accepted = on_request(self.ctrl, self.strategy, req, joins)
-
-        if disposition is Disposition.BALKED:
-            self.metrics.balks[t] += 1
-            self._record(req, "balked", 0.0, None)
-            if self.trace is not None:
-                self._emit("balk", req.slice_type, req.request_id)
-            return
-        if disposition is Disposition.CAP_REJECTED:
-            self.metrics.cap_rejections[t] += 1
-            self._record(req, "cap_rejected", 0.0, None)
-            if self.trace is not None:
-                self._emit("cap_reject", req.slice_type, req.request_id)
-            return
-
-        self.metrics.joined[t] += 1
-        self._join(self.queue_index[t], req)
-        if self.risk_factor is not None and not req.done:
-            t_max = renege_blind(req, self.risk_factor)
-            if math.isfinite(t_max):
-                self._push(self.now + t_max, PRIO_DEADLINE, "deadline", req)
-        self._after_acceptances(accepted)
-
-    def _after_acceptances(self, accepted: list[PendingRequest]) -> None:
-        if not accepted:
-            return
-        for a in accepted:
-            self._accept(a)
-        for i in {self.queue_index[a.slice_type - 1] for a in accepted}:
-            self._reevaluate_queue(i)
-
-    def _handle_release(self, slice_type: int) -> None:
-        if self.trace is not None:
-            self._emit("release", slice_type, None)
-        self._after_acceptances(on_release(self.ctrl, self.strategy, slice_type))
-
-    def _handle_deadline(self, req: PendingRequest) -> None:
-        # a request has at most one deadline, and one that is not done still
-        # waits in its queue
-        if req.done:
-            return
-        i = self.queue_index[req.slice_type - 1]
-        position = next(p for p, r in enumerate(self.ctrl.queues[i], start=1) if r is req)
-        self._renege(i, req, position)
-        self._reevaluate_queue(i)
-
     # -- main loop ----------------------------------------------------------
 
     def _draw_initial_state(self) -> int:
@@ -609,41 +489,174 @@ class _Simulation:
         return int(self.rng_init.integers(self.region.n_admissible, self.region.n_feasible))
 
     def run(self) -> RunMetrics:
-        self.ctrl.state_index = self._draw_initial_state()
-        for t, count in enumerate(self.ctrl.state):
+        """Run to the horizon in one flat loop.
+
+        Every name the loop calls is bound once here, so wrappers installed
+        before the run (the benchmark's tracer) see the calls. An event is a
+        heap entry (time, priority, sequence number, payload) and is
+        dispatched on its priority; its payload is a type index (arrival), a
+        slice type (release) or a request (blind deadline).
+        """
+        ctrl, strategy, metrics, trace = self.ctrl, self.strategy, self.metrics, self.trace
+        queues, queue_index, stats = ctrl.queues, self.queue_index, self.stats
+        queue_stats = list(zip(queues, stats))
+        slice_types, interarrivals, lifetimes = (
+            self.scenario.slice_types, self.interarrivals, self.lifetimes)
+        push, pop = heapq.heappush, heapq.heappop
+        request, release, profit_of, blind_budget = on_request, on_release, end_profit, renege_blind
+        BALKED, CAP_REJECTED = Disposition.BALKED, Disposition.CAP_REJECTED
+        joins = None if self.entrance_rule is None else self._entrance_joins
+        reevaluate = None if self.stay_rule is None else self._reevaluate_queue
+        join = None if self.bounds is None else self._join
+        renege, record, emit = self._renege, self._record, self._emit
+        lengths_timed, risk_factor, stamps = self.lengths_timed, self.risk_factor, self.stamps
+        collect, records = self.config.collect_records, metrics.records
+        arrivals, joined, balks, cap_rejections, acceptances = (
+            metrics.arrivals, metrics.joined, metrics.balks, metrics.cap_rejections,
+            metrics.acceptances)
+        acceptance_times, profit_by_type, profiting = (
+            metrics.acceptance_times, metrics.profit, metrics.profiting)
+        horizon, warmup = self.config.horizon, self.warmup_time
+        # the measured time per state index, and the state indices held for a
+        # positive time from inside the warmup; the occupancy keys are the rest
+        occupancy: dict[int, float] = {}
+        visited: set[int] = set()
+
+        ctrl.state_index = self._draw_initial_state()
+        heap: list = []
+        seq = 0
+        for t, count in enumerate(ctrl.state):
             for _ in range(count):
-                self._push(next(self.lifetimes[t]), PRIO_RELEASE, "release", t + 1)
-        for t in range(self.scenario.n_types):
-            self._push(next(self.interarrivals[t]), PRIO_ARRIVAL, "arrival", t)
+                seq += 1
+                push(heap, (next(lifetimes[t]), PRIO_RELEASE, seq, t + 1))
+        for t in range(len(slice_types)):
+            seq += 1
+            push(heap, (next(interarrivals[t]), PRIO_ARRIVAL, seq, t))
 
-        horizon = self.horizon
-        while self.heap:
-            time, prio, _seq, kind, payload = heapq.heappop(self.heap)
-            if time > horizon:
-                break
-            self._integrate_to(time)
-            self.now = time
-            if kind == "arrival":
-                self._handle_arrival(payload)
-            elif kind == "release":
-                self._handle_release(payload)
+        last_t = 0.0
+        next_id = 1
+        stale = 0
+        # every type's next arrival is always queued, so the heap never empties
+        while True:
+            now, prio, _seq, payload = pop(heap)
+            if now > horizon:  # the last span runs to the horizon
+                now, prio = horizon, None
+            # every popped event adds its span, a stale one too: the busy
+            # time, for full tenants the time at each queue length (both feed
+            # the published estimators and span the whole horizon), and the
+            # occupancy after the warmup
+            dt = now - last_t
+            if dt > 0:
+                for q, s in queue_stats:
+                    if q:
+                        s.busy_time += dt
+                if lengths_timed:
+                    for q, s in queue_stats:
+                        n, at_length = len(q), s.time_at_length
+                        while len(at_length) <= n:
+                            at_length.append(0.0)
+                        at_length[n] += dt
+                index = ctrl.state_index
+                if last_t < warmup:
+                    visited.add(index)
+                    dt = now - warmup
+                if dt > 0:
+                    occupancy[index] = occupancy.get(index, 0.0) + dt
+            last_t = self.now = now
+
+            if prio == PRIO_ARRIVAL:
+                t = payload
+                seq += 1
+                push(heap, (now + next(interarrivals[t]), PRIO_ARRIVAL, seq, t))
+                st = slice_types[t]
+                req = PendingRequest(next_id, t + 1, now, next(lifetimes[t]),
+                                     st.issue_cost, st.waiting_cost_rate, st.profit_rate)
+                next_id += 1
+                arrivals[t] += 1
+                if trace is not None:
+                    emit("request", t + 1, req.request_id)
+                disposition, accepted = request(ctrl, strategy, req, joins)
+                if disposition is BALKED:
+                    balks[t] += 1
+                    record(req, "balked", 0.0, None)
+                    if trace is not None:
+                        emit("balk", t + 1, req.request_id)
+                    continue
+                if disposition is CAP_REJECTED:
+                    cap_rejections[t] += 1
+                    record(req, "cap_rejected", 0.0, None)
+                    if trace is not None:
+                        emit("cap_reject", t + 1, req.request_id)
+                    continue
+                joined[t] += 1
+                if join is not None:
+                    join(queue_index[t], req)
+                if risk_factor is not None and not req.done:
+                    t_max = blind_budget(req, risk_factor)
+                    if math.isfinite(t_max):
+                        seq += 1
+                        push(heap, (now + t_max, PRIO_DEADLINE, seq, req))
+            elif prio == PRIO_RELEASE:
+                if trace is not None:
+                    emit("release", payload, None)
+                accepted = release(ctrl, strategy, payload)
+            elif prio == PRIO_DEADLINE:
+                # a request has at most one deadline, and one that is not done
+                # still waits in its queue; blind tenants never re-decide
+                if payload.done:
+                    stale += 1
+                    continue
+                i = queue_index[payload.slice_type - 1]
+                renege(i, payload, next(p for p, r in enumerate(queues[i], start=1)
+                                        if r is payload))
+                continue
             else:
-                self._handle_deadline(payload)
-        self._integrate_to(horizon)
-        self.now = horizon
+                break
 
-        for q in self.ctrl.queues:
-            for req in q:
+            if not accepted:
+                continue
+            for req in accepted:
                 t = req.slice_type - 1
-                self.metrics.still_waiting[t] += 1
-                self._record(req, "waiting", horizon - req.enter_time, None)
-        self.metrics.busy_time = [stats.busy_time for stats in self.stats]
-        self.metrics.queued_accepts = [stats.queued_accepts for stats in self.stats]
+                wait = now - req.enter_time
+                acceptances[t] += 1
+                seq += 1
+                push(heap, (now + req.lifetime, PRIO_RELEASE, seq, req.slice_type))
+                i = queue_index[t]
+                s = stats[i]
+                s.accept_count += 1
+                s.accept_wait_sum += wait
+                if wait > 0:
+                    s.queued_accepts += 1
+                if stamps is not None:
+                    stamps[i].append(next_id)
+                if now >= warmup:
+                    acceptance_times[t].append(now)
+                profit = profit_of(req, True, wait)
+                profit_by_type[t] += profit
+                profiting[t] += profit > 0
+                metrics.issued_wait += wait
+                if collect:
+                    records.append(RequestRecord(
+                        req.request_id, req.slice_type, req.enter_time, req.lifetime,
+                        req.entry_queue_length, "accepted", wait, profit))
+                if trace is not None:
+                    emit("accept", req.slice_type, req.request_id)
+            if reevaluate is not None:
+                for i in {queue_index[req.slice_type - 1] for req in accepted}:
+                    reevaluate(i)
+
+        for q in queues:
+            for req in q:
+                metrics.still_waiting[req.slice_type - 1] += 1
+                record(req, "waiting", horizon - req.enter_time, None)
+        metrics.stale_pops = stale
+        metrics.busy_time = [s.busy_time for s in stats]
+        metrics.queued_accepts = [s.queued_accepts for s in stats]
         feasible = self.region.feasible
-        self.metrics.occupancy = {feasible[i]: dt for i, dt in self._occupancy.items()}
-        self.metrics.max_assigned = self.assigned_by_index[list(self._visited)].max(
+        metrics.occupancy = {feasible[i]: dt for i, dt in occupancy.items()}
+        metrics.max_assigned = self.assigned_by_index[list(visited | occupancy.keys())].max(
             axis=0, initial=0.0).tolist()
-        return self.metrics
+        return metrics
 
 
 def run_replication(scenario: Scenario, strategy: Strategy | None,
@@ -680,7 +693,7 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     records: list = []
     acceptance_times: list[float] = []
     occupancy: dict[int, float] = {}
-    arrivals = balks = reneges = 0
+    arrivals = balks = reneges = stale = 0
     busy = issued_wait = 0.0
     queue: deque = deque()
     last_t = 0.0
@@ -726,6 +739,7 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
                 push(heap, (now + next(epochs), PRIO_RELEASE, seq, "service", service_token))
         elif kind == "service":
             if payload != service_token or not queue:
+                stale += 1
                 continue
             entry = queue.popleft()
             rid, enter = entry[0], entry[1]
@@ -743,6 +757,7 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
         else:  # deadline: an entry has at most one, so one not done still waits
             entry = payload
             if entry[2]:
+                stale += 1
                 continue
             queue.remove(entry)
             reneges += 1
@@ -764,7 +779,7 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
         still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
         occupancy={(n,): dt for n, dt in occupancy.items()}, busy_time=[busy],
         queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
-        issued_wait=issued_wait,
+        issued_wait=issued_wait, stale_pops=stale,
     )
 
 

@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from sliceq import controller
 from sliceq.controller import (
     ControllerState,
     Disposition,
@@ -142,6 +143,36 @@ def test_mixed_queue_head_blocks_every_type():
 def test_mixed_queue_needs_a_single_queue():
     with pytest.raises(InvalidInputError):
         serve_mixed_queue(_ctrl())
+
+
+def test_arrival_behind_a_waiting_request_is_not_served(monkeypatch):
+    # the queues are quiescent between events, so a queue that holds a
+    # request has a head that cannot be served, and one more request behind
+    # it calls no serve at all
+    ctrl = _ctrl((1, 2))
+    strat = naive_strategy(TINY_REGION, [1, 2, 0])
+    assert on_request(ctrl, strat, _req(1, 1))[0] is Disposition.QUEUED
+    calls = []
+    monkeypatch.setattr(controller, "serve_queues",
+                        lambda *args: calls.append(args) or serve_queues(*args))
+    assert on_request(ctrl, strat, _req(1, 2)) == (Disposition.QUEUED, [])
+    assert calls == []
+    assert [r.request_id for r in ctrl.queues[0]] == [1, 2]
+    # an arrival into an empty queue is still served
+    assert on_request(ctrl, strat, _req(2, 3)) == (Disposition.QUEUED, [])
+    assert len(calls) == 1
+
+
+def test_mixed_queue_is_served_on_every_arrival():
+    # a renege at the head of the mixed queue can leave a head that fits
+    # unserved, so the mixed queue is not quiescent between events and an
+    # arrival behind its head is still served
+    ctrl = ControllerState(region=TINY_REGION, queues=[deque()])
+    ctrl.queues[0].append(_req(2, 1))
+    disp, accepted = on_request(ctrl, None, _req(1, 2))
+    assert disp is Disposition.ACCEPTED_IMMEDIATELY
+    assert [r.request_id for r in accepted] == [1, 2]
+    assert ctrl.state == (1, 1)
 
 
 def test_request_cap_rejection():

@@ -3,6 +3,7 @@ and agreement between the isolated queue and its stationary law."""
 import dataclasses
 import gc
 import hashlib
+import heapq
 import math
 import weakref
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sliceq.controller import PendingRequest
+from sliceq.controller import PendingRequest, serve_queues
 from sliceq.core import (
     Scenario,
     SliceType,
@@ -40,6 +41,7 @@ from sliceq.queueing import QueueParams, impatient_pmf
 from sliceq.tenants import (
     KnowledgeRegime,
     critical_rate,
+    renege_blind,
     renege_position,
     renege_serving_rate,
 )
@@ -245,6 +247,53 @@ def test_blind_zero_budget_reneges_unless_served_at_once():
     assert sum(m.reneges) > 0
 
 
+@pytest.mark.parametrize("queue_cap", [100, None])
+def test_blind_stale_pops_are_deadlines_of_served_requests(queue_cap):
+    # a request that queued and was accepted later leaves its deadline in the
+    # heap, and it is popped stale if it falls due by the horizon; one
+    # accepted on arrival gets no deadline
+    risk = 0.5
+    cfg = SimConfig(horizon=300.0, master_seed=7, queue_cap=queue_cap,
+                    knowledge=KnowledgeRegime("blind", risk_factor=risk),
+                    initial_state="random_full")
+    m = run_replication(DEMO, random_strategy(DEMO_REGION, substream(7, 0, 999)), cfg, 1,
+                        region=DEMO_REGION)
+    due = 0
+    for r in m.records:
+        if r.disposition != "accepted" or r.wait == 0.0:
+            continue
+        st = DEMO.slice_types[r.slice_type - 1]
+        t_max = renege_blind(PendingRequest(r.request_id, r.slice_type, r.enter_time,
+                                            r.lifetime, st.issue_cost, st.waiting_cost_rate,
+                                            st.profit_rate), risk)
+        due += math.isfinite(t_max) and r.enter_time + t_max <= cfg.horizon
+    assert sum(m.reneges) > 0
+    assert m.stale_pops == due > 0
+
+
+@pytest.mark.parametrize("queue_cap", [100, None])
+@pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
+                                  "serving_rate", "full"])
+def test_per_type_queues_are_quiescent_at_every_event(kind, queue_cap):
+    # on_request skips serve_queues for an arrival into a non-empty per-type
+    # queue; that is exact only while no event ever finds a request to serve
+    strat = random_strategy(DEMO_REGION, substream(7, 0, 999))
+    cfg = SimConfig(horizon=200.0, master_seed=3, queue_cap=queue_cap,
+                    knowledge=KnowledgeRegime(kind, risk_factor=0.5),
+                    initial_state="random_full")
+    kinds = set()
+
+    def check(event):
+        kinds.add(event["kind"])
+        assert serve_queues(sim.ctrl, strat) == [], event
+
+    sim = engine._Simulation(DEMO, strat, cfg, 1, region=DEMO_REGION, trace=check)
+    m = sim.run()
+    assert {"request", "accept", "release"} <= kinds
+    assert max(r.entry_queue_length for r in m.records) > 1
+    assert (m.stale_pops > 0) == (kind == "blind")
+
+
 def test_monte_carlo_shapes_and_aggregate():
     strat = naive_strategy(DEMO_REGION, [1, 2, 0])
     cfg = SimConfig(horizon=20.0, replications=25, master_seed=3, queue_cap=20)
@@ -400,6 +449,23 @@ def test_isolated_conservation_and_determinism():
     assert a.occupancy == b.occupancy
     assert [(r.request_id, r.disposition) for r in a.records] \
         == [(r.request_id, r.disposition) for r in b.records]
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.0, 0.5, 0.3), (2.0, 1.5, 0.0, 0.2)])
+def test_isolated_pops_are_events_and_stale_pops(params, monkeypatch):
+    # every pop is an arrival, an acceptance, a renege or a stale event, and
+    # one more pops the first event past the horizon; a stale event dropped
+    # before its span is added, which no digest sees, leaves a pop uncounted.
+    # Only patience leaves stale events: the deadline of a request already
+    # served, or the epoch of a queue that reneges emptied
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(None) or heappop(heap))
+    m = isolated_queue_sim(QueueParams(*params), horizon=2e3, seed=7, collect_records=False)
+    monkeypatch.undo()
+    assert (m.stale_pops > 0) == (params[2] > 0)
+    assert len(pops) == (sum(m.arrivals) + sum(m.acceptances) + sum(m.reneges)
+                         + m.stale_pops + 1)
 
 
 def test_substreams_independent_of_extra_draws():

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,3 +32,24 @@ def test_every_name_the_benchmark_reads_resolves(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     from sliceq.markov import LongRunResult
     assert "iterations" in {f.name for f in dataclasses.fields(LongRunResult)}
+
+
+def test_tracer_sees_the_controller_and_tenant_leaves(monkeypatch):
+    # the event loop binds the names it calls once per run, after the tracer
+    # has swapped its wrappers in; a loop that bound them at import, or took
+    # serve_queues from the controller itself, would leave these totals zero
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    from sliceq import core, engine
+    scenario = core.demo_scenario()
+    region = core.enumerate_regions(scenario)
+    strat = core.random_strategy(region, np.random.default_rng(0))
+    for kind in workloads.REGIMES:
+        cfg = workloads.Regimes.config(kind, 0, 100.0)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            engine.run_replication(scenario, strat, cfg, 0, region=region)
+        assert tracer.leaf_totals["controller"][0] > 0, kind
+        assert tracer.leaf_totals["tenants"][0] > 0, kind
