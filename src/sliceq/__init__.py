@@ -18,20 +18,13 @@ from .core import (
     random_strategy,
     tiny_scenario,
 )
-from .controller import ControllerState, Disposition, PendingRequest
-from .engine import (
-    RunMetrics,
-    SimConfig,
-    isolated_queue_sim,
-    run_monte_carlo,
-    run_replication,
-)
+from .controller import ControllerState, PendingRequest
+from .engine import RunMetrics, SimConfig, isolated_queue_sim, run_replication
 from .queueing import QueueParams
 from .tenants import KnowledgeRegime, LifetimeDistribution
 
 __all__ = [
     "ControllerState",
-    "Disposition",
     "KnowledgeRegime",
     "LifetimeDistribution",
     "PendingRequest",
@@ -46,7 +39,6 @@ __all__ = [
     "isolated_queue_sim",
     "naive_strategy",
     "random_strategy",
-    "run_monte_carlo",
     "run_replication",
     "tiny_scenario",
 ]

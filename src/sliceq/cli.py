@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,6 +67,16 @@ def load_strategy(ref: str, scenario: Scenario, region: RegionIndex,
         rng = substream(seed, 0, 997)
         return random_strategy(region, rng)
     return Strategy.load(ref, scenario)
+
+
+def _number(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{what} {text!r} is not a finite number")
+    return value
 
 
 def _regime_from_args(args) -> KnowledgeRegime:
@@ -186,7 +197,7 @@ def cmd_fit(args) -> int:
                 continue
             cell = row[args.column]
             if cell != "":
-                rows.append(float(cell))
+                rows.append(_number(cell, f"{args.column} value"))
     if args.kind == "geometric":
         fit = fit_geometric(floor_binned(rows))
     else:
@@ -214,7 +225,7 @@ def cmd_markov(args) -> int:
     strategy = load_strategy(args.strategy, scenario, region, args.seed)
     empty_probs = None
     if args.empty_probs:
-        empty_probs = [float(x) for x in args.empty_probs.split(",")]
+        empty_probs = [_number(x, "--empty-probs value") for x in args.empty_probs.split(",")]
         if len(empty_probs) != scenario.n_types:
             raise InvalidInputError(
                 "--empty-probs needs one value per slice type"

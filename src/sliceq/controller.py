@@ -10,22 +10,19 @@ The baseline the controller is judged against keeps every type in one mixed
 FIFO queue and has no strategy: the head is accepted while its slice fits,
 whatever the admissibility region says, and a head that does not fit blocks
 everything behind it.
+
+The controller decides only what it admits. Whether an arriving tenant joins
+its queue (its balking rule) and whether the queue's cap refuses it are
+settled by the caller, the event loop, before the request reaches
+``on_request``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .core import RegionIndex, Strategy
 from .errors import InvalidInputError, ProtocolViolationError
-
-
-class Disposition(Enum):
-    QUEUED = "queued"
-    BALKED = "balked"
-    ACCEPTED_IMMEDIATELY = "accepted_immediately"
-    CAP_REJECTED = "cap_rejected"
 
 
 @dataclass(slots=True)
@@ -63,7 +60,6 @@ class ControllerState:
     region: RegionIndex
     state_index: int = 0
     queues: list[deque] = field(default_factory=list)
-    queue_cap: int | None = None
     queue_index: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -71,8 +67,6 @@ class ControllerState:
         if not self.queues:
             self.queues = [deque() for _ in range(n)]
         self.queue_index = [0] * n if len(self.queues) == 1 else list(range(n))
-        if self.queue_cap is not None and self.queue_cap < 1:
-            raise InvalidInputError("queue cap must be positive when set")
 
     @property
     def state(self) -> tuple[int, ...]:
@@ -147,14 +141,11 @@ def on_release(ctrl: ControllerState, strategy: Strategy | None,
     return serve_queues(ctrl, strategy)
 
 
-def on_request(ctrl: ControllerState, strategy: Strategy | None, req: PendingRequest,
-               join_decision=None) -> tuple[Disposition, list[PendingRequest]]:
-    """Handle one arriving request.
-
-    ``join_decision(req, queue)`` implements the tenant's balking rule; when
-    omitted the tenant always joins. A request admitted within the same event
-    (zero waiting time) is reported as accepted immediately. A ``None``
-    strategy serves the single mixed queue.
+def on_request(ctrl: ControllerState, strategy: Strategy | None,
+               req: PendingRequest) -> list[PendingRequest]:
+    """Append a joining request to its queue, serve the queues and return the
+    accepted requests; ``req.done`` tells whether it is one of them. A
+    ``None`` strategy serves the single mixed queue.
 
     The per-type queues are served to quiescence after every arrival and
     release, and reneges only empty them, so a queue that already holds a
@@ -165,16 +156,10 @@ def on_request(ctrl: ControllerState, strategy: Strategy | None, req: PendingReq
     if t < 0 or t >= len(ctrl.queue_index):
         raise InvalidInputError(f"slice type {req.slice_type} out of range")
     queue = ctrl.queues[ctrl.queue_index[t]]
-    if join_decision is not None and not join_decision(req, queue):
-        return Disposition.BALKED, []
-    if ctrl.queue_cap is not None and len(queue) >= ctrl.queue_cap:
-        return Disposition.CAP_REJECTED, []
-    req.entry_queue_length = len(queue) + 1
     queue.append(req)
+    req.entry_queue_length = len(queue)
     if strategy is None:
-        accepted = serve_mixed_queue(ctrl)
-    elif len(queue) > 1:
-        return Disposition.QUEUED, []
-    else:
-        accepted = serve_queues(ctrl, strategy)
-    return Disposition.ACCEPTED_IMMEDIATELY if req.done else Disposition.QUEUED, accepted
+        return serve_mixed_queue(ctrl)
+    if len(queue) > 1:
+        return []
+    return serve_queues(ctrl, strategy)

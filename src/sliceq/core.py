@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,20 +43,23 @@ class SliceType:
     reneging_rate: float = 0.0
 
     def __post_init__(self):
+        # each range is written so that NaN fails it too
         if len(self.cost) < 1:
             raise InvalidInputError("cost vector must have at least one entry")
-        if any(c < 0 for c in self.cost):
-            raise InvalidInputError("cost entries must be non-negative")
-        if self.arrival_rate <= 0:
-            raise InvalidInputError("arrival_rate must be positive")
-        if self.release_rate <= 0:
-            raise InvalidInputError("release_rate must be positive")
-        if self.profit_rate <= 0:
-            raise InvalidInputError("profit_rate must be positive")
-        if self.issue_cost < 0 or self.waiting_cost_rate < 0:
-            raise InvalidInputError("costs must be non-negative")
-        if self.balking_exponent < 0 or self.reneging_rate < 0:
-            raise InvalidInputError("impatience rates must be non-negative")
+        if not all(0 <= c < math.inf for c in self.cost):
+            raise InvalidInputError("cost entries must be finite and non-negative")
+        if not 0 < self.arrival_rate < math.inf:
+            raise InvalidInputError("arrival_rate must be positive and finite")
+        if not 0 < self.release_rate < math.inf:
+            raise InvalidInputError("release_rate must be positive and finite")
+        if not 0 < self.profit_rate < math.inf:
+            raise InvalidInputError("profit_rate must be positive and finite")
+        if not (0 <= self.issue_cost < math.inf and 0 <= self.waiting_cost_rate < math.inf):
+            raise InvalidInputError("costs must be finite and non-negative")
+        if self.utility_rate is not None and not 0 <= self.utility_rate < math.inf:
+            raise InvalidInputError("utility_rate must be finite and non-negative")
+        if not (0 <= self.balking_exponent < math.inf and 0 <= self.reneging_rate < math.inf):
+            raise InvalidInputError("impatience rates must be finite and non-negative")
 
     @property
     def mean_lifetime(self) -> float:
@@ -76,8 +80,9 @@ class Scenario:
     def __post_init__(self):
         if len(self.resources) < 1:
             raise InvalidInputError("need at least one resource dimension")
-        if any(r < 0 for r in self.resources):
-            raise InvalidInputError("resource capacities must be non-negative")
+        if not all(0 <= r < math.inf for r in self.resources):
+            # an infinite capacity would make the region infinite
+            raise InvalidInputError("resource capacities must be finite and non-negative")
         if len(self.slice_types) < 1:
             raise InvalidInputError("need at least one slice type")
         m = len(self.resources)
@@ -121,6 +126,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise InvalidInputError("a scenario is a JSON object")
         try:
             resources = tuple(float(r) for r in data["resources"])
             types = []
@@ -147,6 +154,8 @@ class Scenario:
                 )
         except KeyError as exc:
             raise InvalidInputError(f"scenario is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a bad value names itself
+            raise InvalidInputError(f"scenario has a malformed value: {exc}") from exc
         return cls(resources=resources, slice_types=tuple(types))
 
     def save(self, path) -> None:
@@ -156,8 +165,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
 
 def demo_scenario() -> Scenario:
@@ -219,6 +227,14 @@ def tiny_scenario() -> Scenario:
 
 
 BUILTIN_SCENARIOS = {"demo": demo_scenario, "tiny": tiny_scenario}
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise InvalidInputError(f"{path} is not a JSON file: {exc}") from exc
 
 
 @dataclass
@@ -367,8 +383,9 @@ class Strategy:
 
     @classmethod
     def load(cls, path, scenario: Scenario | None = None) -> "Strategy":
-        with open(path) as fh:
-            data = json.load(fh)
+        """Read a strategy file; with ``scenario``, also check that it was made
+        for that scenario and has one permutation of 0..N per admissible state."""
+        data = _load_json(path)
         try:
             strat = cls(
                 columns=tuple(tuple(int(x) for x in col) for col in data["columns"]),
@@ -376,8 +393,16 @@ class Strategy:
             )
         except KeyError as exc:
             raise InvalidInputError(f"strategy file is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"strategy file has a malformed value: {exc}") from exc
         if scenario is not None:
             strat.check_scenario(scenario)
+            n_admissible = enumerate_regions(scenario).n_admissible
+            if len(strat.columns) != n_admissible:
+                raise InvalidInputError(f"strategy has {len(strat.columns)} columns, "
+                                        f"the scenario {n_admissible} admissible states")
+            for col in strat.columns:
+                validate_preference(col, scenario.n_types)
         return strat
 
 

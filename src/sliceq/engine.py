@@ -9,8 +9,9 @@ perturbs the others.
 
 One event loop runs both admission disciplines: the preference-ordered
 multi-queue controller and the greedy single mixed queue it is judged
-against. Which queue a request waits in and how the queues are served is
-decided in ``controller``; the loop only sees queue indices.
+against. The loop decides who joins: an arriving tenant's entrance rule,
+then the queue cap. Which queue a request waits in and how the queues are
+served is decided in ``controller``; the loop knows the queues by index.
 ``isolated_queue_sim`` stays a loop of its own: its service epochs are
 exogenous, and its Bernoulli balk coin and Exp(alpha) patience have no
 counterpart in the admission loop.
@@ -21,18 +22,12 @@ import heapq
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
-from .controller import (
-    ControllerState,
-    Disposition,
-    PendingRequest,
-    on_release,
-    on_request,
-)
+from .controller import ControllerState, PendingRequest, on_release, on_request
 from .core import RegionIndex, Scenario, Strategy, enumerate_regions
 from .errors import InvalidInputError
 from .fitting import profit_summary
@@ -107,6 +102,8 @@ class SimConfig:
             raise InvalidInputError(f"unknown initial state {self.initial_state!r}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise InvalidInputError("warmup_fraction must lie in [0, 1)")
+        if self.queue_cap is not None and self.queue_cap < 1:
+            raise InvalidInputError("queue cap must be positive when set")
 
 
 @dataclass(slots=True)
@@ -350,8 +347,7 @@ class _Simulation:
                         types[t].mean_lifetime) for t in range(n)]
 
         self.ctrl = ControllerState(region=self.region,
-                                    queues=[deque()] if single_queue else [],
-                                    queue_cap=config.queue_cap)
+                                    queues=[deque()] if single_queue else [])
         self.queue_index = self.ctrl.queue_index
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
@@ -412,10 +408,6 @@ class _Simulation:
                 req.entry_queue_length, disposition, wait, profit))
 
     # -- tenant decisions --------------------------------------------------
-
-    def _entrance_joins(self, req: PendingRequest, queue) -> bool:
-        return self.entrance_rule(req, self.stats[self.queue_index[req.slice_type - 1]],
-                                  len(queue) + 1)
 
     def _reevaluate_queue(self, i: int) -> None:
         """Let every tenant waiting in queue ``i`` that can still renege
@@ -504,8 +496,7 @@ class _Simulation:
             self.scenario.slice_types, self.interarrivals, self.lifetimes)
         push, pop = heapq.heappush, heapq.heappop
         request, release, profit_of, blind_budget = on_request, on_release, end_profit, renege_blind
-        BALKED, CAP_REJECTED = Disposition.BALKED, Disposition.CAP_REJECTED
-        joins = None if self.entrance_rule is None else self._entrance_joins
+        joins, cap = self.entrance_rule, self.config.queue_cap
         reevaluate = None if self.stay_rule is None else self._reevaluate_queue
         join = None if self.bounds is None else self._join
         renege, record, emit = self._renege, self._record, self._emit
@@ -575,22 +566,25 @@ class _Simulation:
                 arrivals[t] += 1
                 if trace is not None:
                     emit("request", t + 1, req.request_id)
-                disposition, accepted = request(ctrl, strategy, req, joins)
-                if disposition is BALKED:
+                # the tenant's balking rule, then the cap, decide who joins
+                i = queue_index[t]
+                length = len(queues[i])
+                if joins is not None and not joins(req, stats[i], length + 1):
                     balks[t] += 1
                     record(req, "balked", 0.0, None)
                     if trace is not None:
                         emit("balk", t + 1, req.request_id)
                     continue
-                if disposition is CAP_REJECTED:
+                if cap is not None and length >= cap:
                     cap_rejections[t] += 1
                     record(req, "cap_rejected", 0.0, None)
                     if trace is not None:
                         emit("cap_reject", t + 1, req.request_id)
                     continue
+                accepted = request(ctrl, strategy, req)
                 joined[t] += 1
                 if join is not None:
-                    join(queue_index[t], req)
+                    join(i, req)
                 if risk_factor is not None and not req.done:
                     t_max = blind_budget(req, risk_factor)
                     if math.isfinite(t_max):
@@ -814,30 +808,6 @@ def summarize_run(metrics: RunMetrics, scenario: Scenario) -> dict:
     return row
 
 
-@dataclass
-class MonteCarloResult:
-    runs: list[RunMetrics]
-    rows: list[dict]
-    aggregate: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return len(self.runs)
-
-
-def _aggregate(rows: list[dict]) -> dict:
-    agg = {}
-    if not rows:
-        return agg
-    keys = [k for k in rows[0] if k != "replication"]
-    for k in keys:
-        vals = np.array([row[k] for row in rows], dtype=float)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        agg[k] = (mean, se)
-    return agg
-
-
 def _worker(args):
     scenario, strategy, config, rep, single_queue, region = args
     return run_replication(scenario, strategy, config, rep,
@@ -859,13 +829,3 @@ def iter_replications(scenario: Scenario, strategy: Strategy | None,
         for r in reps:
             yield run_replication(scenario, strategy, config, r,
                                   region=region, single_queue=single_queue)
-
-
-def run_monte_carlo(scenario: Scenario, strategy: Strategy | None,
-                    config: SimConfig, threads: int = 1,
-                    single_queue: bool = False,
-                    region: RegionIndex | None = None) -> MonteCarloResult:
-    """Every replication of ``iter_replications``, kept, with its summary row."""
-    runs = list(iter_replications(scenario, strategy, config, threads, single_queue, region))
-    rows = [summarize_run(m, scenario) for m in runs]
-    return MonteCarloResult(runs=runs, rows=rows, aggregate=_aggregate(rows))

@@ -1,9 +1,8 @@
-"""Empirical distributions, geometric/exponential maximum-likelihood fits,
-KL divergence and per-request profit summaries."""
+"""Geometric/exponential maximum-likelihood fits, KL divergence of empirical
+counts and per-request profit summaries."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,26 +14,6 @@ from .errors import InvalidInputError
 KLD_SUCCESS_THRESHOLD = 0.25
 MIN_SUCCESS_SAMPLES = 30
 MIN_FIT_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class EmpiricalPMF:
-    """Relative frequencies of non-negative integer samples."""
-
-    counts: tuple[int, ...]
-    n: int
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalPMF":
-        xs = [int(x) for x in samples]
-        if not xs:
-            raise InvalidInputError("need at least one sample")
-        if any(x < 0 for x in xs):
-            raise InvalidInputError("samples must be non-negative integers")
-        counter = Counter(xs)
-        top = max(counter)
-        counts = tuple(counter.get(k, 0) for k in range(top + 1))
-        return cls(counts=counts, n=len(xs))
 
 
 @dataclass(frozen=True)
@@ -55,8 +34,8 @@ def fit_geometric(samples) -> FitResult:
         raise InvalidInputError("cannot fit an empty sample")
     if xs.size < 2:
         raise InvalidInputError("need at least two samples")
-    if (xs < 0).any():
-        raise InvalidInputError("geometric samples must be non-negative")
+    if (xs < 0).any() or not np.isfinite(xs).all():
+        raise InvalidInputError("geometric samples must be finite and non-negative")
     mean = float(xs.mean())
     p_hat = 1.0 / (1.0 + mean)
     degenerate = mean == 0.0
@@ -65,21 +44,22 @@ def fit_geometric(samples) -> FitResult:
         loglik = 0.0  # all mass at zero: p=1 fits exactly
     else:
         loglik = float(xs.size * math.log(p_hat) + xs.sum() * math.log(1.0 - p_hat))
-    pmf = EmpiricalPMF.from_samples(xs.astype(int))
-    kld = kld_vs_geometric(pmf, p_hat)
+    kld = kld_vs_geometric(np.bincount(xs.astype(int)).tolist(), p_hat)
     return FitResult(parameter=p_hat, converged=converged, log_likelihood=loglik,
                      kld=kld, n=int(xs.size), degenerate=degenerate)
 
 
-def kld_vs_geometric(pmf: EmpiricalPMF, p_hat: float) -> float:
-    """KL divergence of the empirical PMF from geometric(p_hat), natural log."""
+def kld_vs_geometric(counts, p_hat: float) -> float:
+    """KL divergence from geometric(p_hat) of the empirical law whose
+    ``counts[k]`` samples equal k, natural log."""
     if not 0.0 < p_hat <= 1.0:
         raise InvalidInputError("p_hat must lie in (0, 1]")
+    n = sum(counts)
     total = 0.0
-    for k, count in enumerate(pmf.counts):
+    for k, count in enumerate(counts):
         if count == 0:
             continue
-        p_emp = count / pmf.n
+        p_emp = count / n
         if p_hat == 1.0:
             if k > 0:
                 return math.inf
@@ -101,8 +81,8 @@ def fit_exponential(samples) -> FitResult:
         raise InvalidInputError("cannot fit an empty sample")
     if xs.size < 2:
         raise InvalidInputError("need at least two samples")
-    if (xs <= 0).any():
-        raise InvalidInputError("exponential samples must be positive")
+    if (xs <= 0).any() or not np.isfinite(xs).all():
+        raise InvalidInputError("exponential samples must be positive and finite")
     mean = float(xs.mean())
     rate = 1.0 / mean
     fitted_q99 = math.log(100.0) / rate

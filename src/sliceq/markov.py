@@ -20,8 +20,9 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
+from . import engine
 from .core import RegionIndex, Scenario, Strategy, naive_strategy, random_strategy
-from .engine import SimConfig, run_monte_carlo, substream
+from .engine import SimConfig, substream
 from .errors import InvalidInputError
 from .queueing import QueueParams, impatient_pmf
 
@@ -189,9 +190,7 @@ def bootstrap_service_rates(scenario: Scenario, strategy: Strategy,
     """Measure per-queue acceptance rates with a short patient-tenant run."""
     cfg = SimConfig(horizon=200.0, master_seed=seed, queue_cap=100,
                     initial_state="random_full", collect_records=False)
-    from .engine import run_replication  # local import keeps module load light
-
-    metrics = run_replication(scenario, strategy, cfg, 0, region=region)
+    metrics = engine.run_replication(scenario, strategy, cfg, 0, region=region)
     return metrics.measured_acceptance_rates()
 
 
@@ -269,14 +268,15 @@ class SearchRow:
 SEARCH_CSV_HEADER = ["strategy_id", "kind", "u_sigma", "mean_wait", "admission_rate", "objective"]
 
 
-def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, float, float]:
-    mc = run_monte_carlo(scenario, strategy, replace(config, collect_records=False),
-                         region=region, single_queue=strategy is None)
-    return (
-        mc.aggregate["u_sigma"][0],
-        mc.aggregate["mean_wait_joined"][0],
-        mc.aggregate["admission_rate"][0],
-    )
+def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, ...]:
+    """Mean u_sigma, wait and admission rate over the replications. The
+    engine functions are looked up on the module at each call, so wrappers
+    installed on it (the benchmark's tracer) see them."""
+    runs = engine.iter_replications(scenario, strategy, replace(config, collect_records=False),
+                                    region=region, single_queue=strategy is None)
+    rows = [engine.summarize_run(m, scenario) for m in runs]
+    return tuple(float(np.mean([row[k] for row in rows]))
+                 for k in ("u_sigma", "mean_wait_joined", "admission_rate"))
 
 
 def strategy_search(scenario: Scenario, region: RegionIndex,
@@ -297,6 +297,9 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
     if evaluator not in ("simulation", "analytic"):
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
     key, maximize = OBJECTIVES[objective]
+    if evaluator == "analytic" and key != "u_sigma":
+        # the chain gives no wait or admission rate: every row would rank NaN
+        raise InvalidInputError(f"the analytic evaluator ranks only by utility, not {objective!r}")
 
     n_types = scenario.n_types
     rng = substream(config.master_seed, 0, 999)

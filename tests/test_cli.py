@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 import csv
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -370,3 +371,70 @@ def test_preset_rejects_bad_scale(tmp_path, capsys):
     code, _, err = _run(capsys, "preset", "table3", "--scale", "1.5",
                         "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+def _file_argv(tmp_path, text, *argv):
+    """``argv`` with "{path}" standing for a file that holds ``text``."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    return tuple(str(path) if a == "{path}" else a for a in argv)
+
+
+def _tiny_strategy_argv(tmp_path, columns):
+    # the right fingerprint, so only the columns are at fault
+    text = json.dumps({"scenario_fingerprint": tiny_scenario().fingerprint(),
+                       "columns": columns})
+    return _file_argv(tmp_path, text, "simulate", "--scenario", "builtin:tiny",
+                      "--strategy", "{path}", "--horizon", "5", "--out", str(tmp_path / "run"))
+
+
+N_TINY_ADMISSIBLE = enumerate_regions(tiny_scenario()).n_admissible
+
+
+def _tiny_scenario_json(resources=None, **first_type):
+    data = tiny_scenario().to_dict()
+    data["resources"] = resources or data["resources"]
+    data["slice_types"][0].update(first_type)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: _file_argv(tmp, "wait\n1.5\nsoon\n", "fit", "--input", "{path}",
+                           "--column", "wait"),
+    lambda tmp: _file_argv(tmp, "wait\n1.5\nnan\n2.0\n", "fit", "--input", "{path}",
+                           "--column", "wait", "--kind", "exponential"),
+    lambda tmp: _file_argv(tmp, _tiny_scenario_json(resources=["one"]),
+                           "regions", "--scenario", "{path}"),
+    lambda tmp: _file_argv(tmp, _tiny_scenario_json(arrival_rate=math.nan),
+                           "regions", "--scenario", "{path}"),
+    lambda tmp: _file_argv(tmp, _tiny_scenario_json(utility_rate=math.nan),
+                           "regions", "--scenario", "{path}"),
+    lambda tmp: _file_argv(tmp, "[1, 2]", "regions", "--scenario", "{path}"),
+    lambda tmp: _file_argv(tmp, "resources: 1", "regions", "--scenario", "{path}"),
+    lambda tmp: ("markov", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0",
+                 "--empty-probs", "a,b"),
+    lambda tmp: _tiny_strategy_argv(tmp, 5),
+    lambda tmp: _tiny_strategy_argv(tmp, [[1, 2, 0]] * (N_TINY_ADMISSIBLE - 1)),
+    lambda tmp: _tiny_strategy_argv(tmp, [[1, 1, 0]] * N_TINY_ADMISSIBLE),
+], ids=["fit-cell", "fit-nan-cell", "scenario-value", "scenario-nan-rate",
+        "scenario-nan-utility", "scenario-not-object", "scenario-not-json", "empty-probs",
+        "strategy-columns-not-list", "strategy-too-few-columns", "strategy-not-permutation"])
+def test_malformed_outside_input_exits_as_invalid(tmp_path, capsys, make_argv):
+    # each once ended in a traceback and exit 1, or ran with a type never served
+    code, out, err = _run(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert "invalid input" in err
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("objective", ["wait", "admission"])
+def test_analytic_search_refuses_a_wait_or_admission_objective(capsys, objective):
+    # every chain row scored NaN, and the one ranked greedy row came last
+    code, out, err = _run(capsys, "search", "--scenario", "builtin:tiny",
+                          "--evaluator", "analytic", "--objective", objective,
+                          "--n-strategies", "3", "--horizon", "5",
+                          "--replications", "1", "--queue-cap", "10")
+    assert code == 2
+    assert "invalid input" in err
+    assert out == ""

@@ -1,14 +1,14 @@
-"""Admission controller mechanics: event handlers, the serving loop, and a
-brute-force equivalence check against a literal interpreter of the rules."""
+"""Admission controller mechanics: event handlers, the serving loop, the
+loop's join and cap checks ahead of the controller, and a brute-force
+equivalence check against a literal interpreter of the rules."""
 from collections import deque
 
 import numpy as np
 import pytest
 
-from sliceq import controller
+from sliceq import controller, engine
 from sliceq.controller import (
     ControllerState,
-    Disposition,
     PendingRequest,
     on_release,
     on_request,
@@ -23,6 +23,7 @@ from sliceq.core import (
     naive_strategy,
     tiny_scenario,
 )
+from sliceq.engine import SimConfig
 from sliceq.errors import InvalidInputError, ProtocolViolationError
 
 from helpers import reference_serve
@@ -38,11 +39,10 @@ def _req(slice_type, rid=0):
     )
 
 
-def _ctrl(state=(0, 0), cap=None):
+def _ctrl(state=(0, 0)):
     return ControllerState(
         region=TINY_REGION,
         state_index=TINY_REGION.feasible_index(state),
-        queue_cap=cap,
     )
 
 
@@ -112,19 +112,19 @@ def test_serve_empty_queues_noop():
 def test_request_accepted_immediately_when_idle():
     ctrl = _ctrl((0, 0))
     strat = naive_strategy(TINY_REGION, [1, 2, 0])
-    disp, accepted = on_request(ctrl, strat, _req(1))
-    assert disp is Disposition.ACCEPTED_IMMEDIATELY
-    assert len(accepted) == 1
+    req = _req(1)
+    assert on_request(ctrl, strat, req) == [req]
+    assert req.done
     assert ctrl.state == (1, 0)
 
 
 def test_request_queued_when_saturated():
     ctrl = _ctrl((1, 2))
     strat = naive_strategy(TINY_REGION, [1, 2, 0])
-    disp, accepted = on_request(ctrl, strat, _req(1))
-    assert disp is Disposition.QUEUED
-    assert accepted == []
-    assert len(ctrl.queues[0]) == 1
+    req = _req(1)
+    assert on_request(ctrl, strat, req) == []
+    assert not req.done
+    assert list(ctrl.queues[0]) == [req]
 
 
 def test_mixed_queue_head_blocks_every_type():
@@ -132,7 +132,9 @@ def test_mixed_queue_head_blocks_every_type():
                            state_index=TINY_REGION.feasible_index((1, 2)))
     assert ctrl.queue_index == [0, 0]
     for rid, t in ((1, 1), (2, 2)):
-        assert on_request(ctrl, None, _req(t, rid))[0] is Disposition.QUEUED
+        req = _req(t, rid)
+        assert on_request(ctrl, None, req) == []
+        assert not req.done
     # a small slice fits at (1, 1), but the large head does not
     assert on_release(ctrl, None, 2) == []
     accepted = on_release(ctrl, None, 1)
@@ -151,15 +153,18 @@ def test_arrival_behind_a_waiting_request_is_not_served(monkeypatch):
     # it calls no serve at all
     ctrl = _ctrl((1, 2))
     strat = naive_strategy(TINY_REGION, [1, 2, 0])
-    assert on_request(ctrl, strat, _req(1, 1))[0] is Disposition.QUEUED
+    assert on_request(ctrl, strat, _req(1, 1)) == []
     calls = []
     monkeypatch.setattr(controller, "serve_queues",
                         lambda *args: calls.append(args) or serve_queues(*args))
-    assert on_request(ctrl, strat, _req(1, 2)) == (Disposition.QUEUED, [])
+    second, third = _req(1, 2), _req(2, 3)
+    assert on_request(ctrl, strat, second) == []
+    assert not second.done
     assert calls == []
     assert [r.request_id for r in ctrl.queues[0]] == [1, 2]
     # an arrival into an empty queue is still served
-    assert on_request(ctrl, strat, _req(2, 3)) == (Disposition.QUEUED, [])
+    assert on_request(ctrl, strat, third) == []
+    assert not third.done
     assert len(calls) == 1
 
 
@@ -169,28 +174,60 @@ def test_mixed_queue_is_served_on_every_arrival():
     # arrival behind its head is still served
     ctrl = ControllerState(region=TINY_REGION, queues=[deque()])
     ctrl.queues[0].append(_req(2, 1))
-    disp, accepted = on_request(ctrl, None, _req(1, 2))
-    assert disp is Disposition.ACCEPTED_IMMEDIATELY
+    req = _req(1, 2)
+    accepted = on_request(ctrl, None, req)
+    assert req.done
     assert [r.request_id for r in accepted] == [1, 2]
     assert ctrl.state == (1, 1)
 
 
+def _reserving_run(cap, entrance_rule=None):
+    """A tiny-scenario run whose strategy reserves in every state, so that no
+    request is ever accepted and each queue fills up to the cap."""
+    cfg = SimConfig(horizon=30.0, master_seed=2, queue_cap=cap)
+    sim = engine._Simulation(TINY, naive_strategy(TINY_REGION, [0, 1, 2]), cfg, 0,
+                             region=TINY_REGION)
+    if entrance_rule is not None:
+        sim.entrance_rule = entrance_rule
+    return sim, sim.run()
+
+
 def test_request_cap_rejection():
-    ctrl = _ctrl((1, 2), cap=2)
-    strat = naive_strategy(TINY_REGION, [1, 2, 0])
-    for rid in (1, 2):
-        on_request(ctrl, strat, _req(1, rid))
-    disp, _ = on_request(ctrl, strat, _req(1, 3))
-    assert disp is Disposition.CAP_REJECTED
-    assert len(ctrl.queues[0]) == 2
+    # the loop refuses an arrival that finds its queue at the cap; the
+    # controller never sees it
+    sim, m = _reserving_run(cap=2)
+    assert all(a > 2 for a in m.arrivals)
+    assert m.joined == m.still_waiting == [2, 2]
+    assert m.cap_rejections == [a - 2 for a in m.arrivals]
+    assert m.balks == [0, 0]
+    assert [len(q) for q in sim.ctrl.queues] == [2, 2]
+    refused = [r for r in m.records if r.disposition == "cap_rejected"]
+    assert len(refused) == sum(m.cap_rejections)
+    assert {r.entry_queue_length for r in refused} == {0}
 
 
 def test_request_balk_consulted_before_cap():
-    ctrl = _ctrl((1, 2), cap=1)
-    strat = naive_strategy(TINY_REGION, [1, 2, 0])
-    disp, _ = on_request(ctrl, strat, _req(1), join_decision=lambda r, q: False)
-    assert disp is Disposition.BALKED
-    assert len(ctrl.queues[0]) == 0
+    # a tenant that finds its queue at the cap and whose entrance rule
+    # refuses it counts as a balk, not a cap rejection
+    seen = []
+
+    def join_first_only(req, stats, length):
+        seen.append((req.slice_type, stats, length))
+        return length == 1
+
+    sim, m = _reserving_run(cap=1, entrance_rule=join_first_only)
+    assert m.joined == [1, 1]
+    assert m.balks == [a - 1 for a in m.arrivals]
+    assert m.cap_rejections == [0, 0]
+    # the rule sees the arrival's own queue statistics and its length with
+    # the arrival itself included
+    for slice_type, stats, length in seen:
+        assert stats is sim.stats[slice_type - 1]
+    assert sorted({length for *_, length in seen}) == [1, 2]
+    # with a rule that always joins, the same arrivals are cap rejections
+    _, always = _reserving_run(cap=1, entrance_rule=lambda req, stats, length: True)
+    assert always.cap_rejections == m.balks
+    assert always.balks == [0, 0]
 
 
 def test_entry_queue_length_includes_self():

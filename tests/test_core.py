@@ -1,5 +1,6 @@
 """Regions, strategies and scenario serialization."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,18 @@ def test_scenario_validation():
         Scenario(resources=(1.0, 1.0),
                  slice_types=(SliceType(cost=(0.5,), arrival_rate=1,
                                         release_rate=1, profit_rate=1),))
+    # non-finite numbers pass a plain sign check; an infinite capacity would
+    # make the region infinite
+    ok = dict(cost=(0.5,), arrival_rate=1.0, release_rate=1.0, profit_rate=1.0)
+    for bad in (math.nan, math.inf):
+        for key in ("arrival_rate", "release_rate", "profit_rate", "issue_cost",
+                    "waiting_cost_rate", "utility_rate", "balking_exponent", "reneging_rate"):
+            with pytest.raises(InvalidInputError):
+                SliceType(**{**ok, key: bad})
+        with pytest.raises(InvalidInputError):
+            SliceType(**{**ok, "cost": (bad,)})
+        with pytest.raises(InvalidInputError):
+            Scenario(resources=(bad,), slice_types=(SliceType(**ok),))
 
 
 def test_utility_rate_defaults_to_waiting_cost():

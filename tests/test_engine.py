@@ -31,7 +31,7 @@ from sliceq.engine import (
     TAG_SERVICE,
     SimConfig,
     isolated_queue_sim,
-    run_monte_carlo,
+    iter_replications,
     run_replication,
     substream,
     summarize_run,
@@ -294,32 +294,25 @@ def test_per_type_queues_are_quiescent_at_every_event(kind, queue_cap):
     assert (m.stale_pops > 0) == (kind == "blind")
 
 
-def test_monte_carlo_shapes_and_aggregate():
-    strat = naive_strategy(DEMO_REGION, [1, 2, 0])
-    cfg = SimConfig(horizon=20.0, replications=25, master_seed=3, queue_cap=20)
-    mc = run_monte_carlo(DEMO, strat, cfg, region=DEMO_REGION)
-    assert mc.n == 25
-    assert len(mc.rows) == 25
-    mean, se = mc.aggregate["u_sigma"]
-    assert se > 0
-    vals = [row["u_sigma"] for row in mc.rows]
-    assert mean == pytest.approx(np.mean(vals))
+def _summary_rows(strat, cfg, **kwargs):
+    return [summarize_run(m, DEMO) for m in iter_replications(DEMO, strat, cfg, **kwargs)]
 
 
 def test_monte_carlo_replications_differ_and_derive_from_master_seed():
     strat = naive_strategy(DEMO_REGION, [1, 2, 0])
     cfg = SimConfig(horizon=15.0, replications=3, master_seed=8, queue_cap=20)
-    mc1 = run_monte_carlo(DEMO, strat, cfg, region=DEMO_REGION)
-    mc2 = run_monte_carlo(DEMO, strat, cfg, region=DEMO_REGION)
-    assert [r["u_sigma"] for r in mc1.rows] == [r["u_sigma"] for r in mc2.rows]
-    assert len({r["u_sigma"] for r in mc1.rows}) == 3
+    rows1 = _summary_rows(strat, cfg, region=DEMO_REGION)
+    rows2 = _summary_rows(strat, cfg, region=DEMO_REGION)
+    assert [r["replication"] for r in rows1] == [0, 1, 2]
+    assert [r["u_sigma"] for r in rows1] == [r["u_sigma"] for r in rows2]
+    assert len({r["u_sigma"] for r in rows1}) == 3
 
 
 def test_monte_carlo_worker_pool_matches_serial(monkeypatch):
     strat = naive_strategy(DEMO_REGION, [1, 2, 0])
     cfg = SimConfig(horizon=10.0, replications=2, master_seed=6, queue_cap=20)
-    serial = run_monte_carlo(DEMO, strat, cfg, region=DEMO_REGION)
-    assert run_monte_carlo(DEMO, strat, cfg, threads=2).rows == serial.rows
+    serial = _summary_rows(strat, cfg, region=DEMO_REGION)
+    assert _summary_rows(strat, cfg, threads=2) == serial
 
     # the workers must use the region they are given; forked workers inherit
     # this patch, so enumerating the region again fails the run
@@ -327,19 +320,7 @@ def test_monte_carlo_worker_pool_matches_serial(monkeypatch):
         raise AssertionError("worker enumerated the region again")
 
     monkeypatch.setattr(engine, "enumerate_regions", refuse)
-    pooled = run_monte_carlo(DEMO, strat, cfg, threads=2, region=DEMO_REGION)
-    assert pooled.rows == serial.rows
-
-
-def test_standard_error_scales_with_replications():
-    strat = naive_strategy(DEMO_REGION, [1, 2, 0])
-    base = dict(horizon=20.0, master_seed=5, queue_cap=20)
-    se25 = run_monte_carlo(DEMO, strat, SimConfig(replications=25, **base),
-                           region=DEMO_REGION).aggregate["total_profit"][1]
-    se100 = run_monte_carlo(DEMO, strat, SimConfig(replications=100, **base),
-                            region=DEMO_REGION).aggregate["total_profit"][1]
-    ratio = se100 / se25
-    assert 0.5 * 0.7 < ratio < 1.3 * 0.7
+    assert _summary_rows(strat, cfg, threads=2, region=DEMO_REGION) == serial
 
 
 def test_summarize_run_keys():
@@ -398,6 +379,12 @@ def test_isolated_issued_wait_equals_records_scan():
     issued = [r for r in m.records if r.disposition in ("accepted", "reneged")]
     assert m.n_issued == [len(issued)] and sum(m.reneges) > 0
     assert m.issued_wait == sum(r.wait for r in issued)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_queue_cap_below_one_is_refused(cap):
+    with pytest.raises(InvalidInputError):
+        SimConfig(queue_cap=cap)
 
 
 def test_strategy_scenario_mismatch_rejected():
@@ -1028,4 +1015,4 @@ def test_filtered_full_entrance_equals_expected_wait_formula(gate_open, data):
     want = profit_rate * lifetime - issue_cost - u * ew[length] >= 0.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MAX_FILTER_LENGTH", guard)
-        assert sim._entrance_joins(req, [None] * n) == want
+        assert sim.entrance_rule(req, stats, length) == want

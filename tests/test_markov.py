@@ -18,8 +18,9 @@ from sliceq.core import (
     enumerate_regions,
     naive_strategy,
     random_strategy,
+    tiny_scenario,
 )
-from sliceq.engine import SimConfig, run_replication
+from sliceq.engine import SimConfig, iter_replications, run_replication, summarize_run
 from sliceq.errors import InvalidInputError
 from sliceq.markov import (
     analytic_evaluation,
@@ -368,3 +369,31 @@ def test_strategy_search_exhaustive_small_region():
     rows = strategy_search(sc, region, 0, cfg, exhaustive=True,
                            include_benchmarks=False)
     assert len(rows) == 2 ** region.n_admissible
+
+
+@pytest.mark.parametrize("objective", ["wait", "admission"])
+def test_analytic_search_refuses_objectives_the_chain_does_not_give(objective):
+    # the chain gives no wait or admission rate, so every chain candidate
+    # would score NaN and the ranking would be meaningless
+    sc = tiny_scenario()
+    region = enumerate_regions(sc)
+    cfg = SimConfig(horizon=5.0, replications=1, master_seed=0, queue_cap=10)
+    with pytest.raises(InvalidInputError):
+        strategy_search(sc, region, 3, cfg, objective=objective, evaluator="analytic")
+    rows = strategy_search(sc, region, 3, cfg, evaluator="analytic")
+    assert not any(np.isnan(r.objective) for r in rows)
+
+
+def test_search_rows_are_the_mean_of_the_replication_summaries():
+    sc = demo_scenario()
+    region = enumerate_regions(sc)
+    cfg = SimConfig(horizon=20.0, replications=4, master_seed=3, queue_cap=20,
+                    collect_records=False)
+    rows = {r.strategy_id: r for r in strategy_search(sc, region, 1, cfg)}
+    for sid, strat in (("prefer1", naive_strategy(region, [1, 2, 0])), ("greedy_single", None)):
+        summaries = [summarize_run(m, sc) for m in iter_replications(
+            sc, strat, cfg, region=region, single_queue=strat is None)]
+        row = rows[sid]
+        assert (row.u_sigma, row.mean_wait, row.admission_rate) == tuple(
+            float(np.mean([s[k] for s in summaries]))
+            for k in ("u_sigma", "mean_wait_joined", "admission_rate"))

@@ -53,3 +53,34 @@ def test_tracer_sees_the_controller_and_tenant_leaves(monkeypatch):
             engine.run_replication(scenario, strat, cfg, 0, region=region)
         assert tracer.leaf_totals["controller"][0] > 0, kind
         assert tracer.leaf_totals["tenants"][0] > 0, kind
+
+
+def test_tracer_sees_every_replication_of_a_search_and_a_bootstrap(monkeypatch):
+    # markov reaches the engine through the module, so the tracer's wrappers
+    # see each call; names imported from the engine once would bypass them
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    from sliceq import core, engine, markov
+    scenario = core.demo_scenario()
+    region = core.enumerate_regions(scenario)
+    replications, n_random = 3, 2
+    cfg = engine.SimConfig(horizon=5.0, replications=replications, master_seed=1)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        rows = markov.strategy_search(scenario, region, n_random, cfg)
+        markov.analytic_evaluation(scenario, core.naive_strategy(region, [2, 1, 0]), region)
+    spans = {s["id"]: s for s in tracer.spans}
+
+    def named(name):
+        return [s for s in tracer.spans if s["name"] == name]
+
+    (search,) = named("markov.strategy_search")
+    (bootstrap,) = named("markov.bootstrap")
+    assert len(rows) == n_random + 3
+    for name in ("engine.run_replication", "engine.summarize_run"):
+        under_search = [s for s in named(name) if s["parent"] == search["id"]]
+        assert len(under_search) == len(rows) * replications, name
+    (boot_run,) = [s for s in named("engine.run_replication") if s["parent"] == bootstrap["id"]]
+    assert spans[bootstrap["parent"]]["name"] == "markov.analytic_evaluation"
+    assert boot_run["regime"] == "patient"
