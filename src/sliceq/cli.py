@@ -34,12 +34,7 @@ from .errors import (
 from .fitting import fit_exponential, fit_geometric, fit_success, floor_binned
 from .markov import SEARCH_CSV_HEADER, analytic_evaluation, strategy_search
 from .presets import PRESET_NAMES, OutputDir, run_preset, run_regions_report
-from .queueing import (
-    QueueParams,
-    impatient_pmf,
-    join_accept_probs,
-    wait_densities,
-)
+from .queueing import QueueParams, impatient_pmf, wait_densities
 from .tenants import REGIME_KINDS, KnowledgeRegime
 
 EXIT_OK = 0
@@ -99,25 +94,18 @@ def cmd_analyze(args) -> int:
         raise InvalidInputError("--pmf-entries must be non-negative")
     params = QueueParams(args.lam, args.mu, args.alpha, args.beta)
     pmf = impatient_pmf(params)
-    probs = join_accept_probs(params)
+    out = wait_densities(params)
     report = {
         "pmf": [float(p) for p in pmf[: args.pmf_entries]],
-        "p_join": probs.p_join,
-        "p_accept": probs.p_accept,
-        "p_accept_given_join": probs.p_accept_given_join,
-        "degenerate": probs.degenerate,
+        "p_join": out.p_join,
+        "p_accept": out.p_accept,
+        "p_accept_given_join": out.p_accept_given_join,
+        "mean_wait_accepted": out.mean_accepted,
+        "mean_wait_reneged": out.mean_reneged,
+        "mean_wait_joined": out.mean_joined,
     }
-    try:
-        dens = wait_densities(params)
-    except InvalidInputError:
-        pass  # no density is defined for these parameters; report the pmf only
-    else:
-        report.update({
-            "mean_wait_accepted": dens.mean_accepted,
-            "mean_wait_reneged": dens.mean_reneged,
-            "mean_wait_joined": dens.mean_joined,
-            "series_norm_deficit": dens.raw_norm,
-        })
+    # a figure whose condition has no mass is left out
+    report = {key: value for key, value in report.items() if value is not None}
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

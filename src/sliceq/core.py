@@ -158,11 +158,6 @@ class Scenario:
             raise InvalidInputError(f"scenario has a malformed value: {exc}") from exc
         return cls(resources=resources, slice_types=tuple(types))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "Scenario":
         return cls.from_dict(_load_json(path))
@@ -369,17 +364,6 @@ class Strategy:
             raise StrategyMismatchError(
                 "strategy was generated for a different scenario"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_fingerprint": self.scenario_fingerprint,
-            "columns": [list(c) for c in self.columns],
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path, scenario: Scenario | None = None) -> "Strategy":

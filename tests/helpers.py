@@ -1,11 +1,10 @@
 """Shared test oracles, kept independent of the implementation paths they
 check: exact-rational region enumeration, a truncated balance-equation
-linear solve, closed-form series integrals, a literal pass-by-pass
-interpreter of the queue-serving algorithm, the full-knowledge tenant's
-expected wait and stay/renege rule written as plain loops, a run's
-issued-request tallies by a scan of its records, its occupancy law and
-time-averaged state, inverse-CDF lifetime draws and random preference
-columns drawn one permutation at a time."""
+linear solve, a literal pass-by-pass interpreter of the queue-serving
+algorithm, the full-knowledge tenant's expected wait and stay/renege rule
+written as plain loops, a run's issued-request tallies by a scan of its
+records, its occupancy law and time-averaged state, inverse-CDF lifetime
+draws and random preference columns drawn one permutation at a time."""
 from __future__ import annotations
 
 import math
@@ -111,44 +110,6 @@ def tv_from_dict(emp: dict, model: np.ndarray) -> float:
     qa = np.zeros(top)
     qa[: len(model)] = model
     return 0.5 * float(np.abs(pa - qa).sum())
-
-
-def series_norm_oracle(lam, mu, alpha, beta, p0, p_accept_and_join, terms=60):
-    """Closed-form integral of the accepted-wait series via Beta functions.
-
-    integral_0^inf e^{-(mu+alpha)W} (1-e^{-alpha W})^l dW
-        = B(gamma+1, l+1)/alpha with gamma = mu/alpha.
-    """
-    delta = math.exp(-beta / mu)
-    gamma = mu / alpha
-    total = 0.0
-    for l in range(1, terms):
-        c = delta ** (l * (l + 1) // 2) / (
-            math.factorial(l) * math.factorial(l - 1)
-        )
-        logbeta = (
-            math.lgamma(gamma + 1) + math.lgamma(l + 1) - math.lgamma(gamma + l + 2)
-        )
-        total += c * math.exp(logbeta) / alpha
-    return p0 * alpha * total / p_accept_and_join
-
-
-def series_mean_oracle(lam, mu, alpha, beta, terms=40):
-    """Closed-form (integral W * shape, integral shape) of the accepted-wait
-    series, via binomial expansion of (1 - e^{-alpha W})^l."""
-    delta = math.exp(-beta / mu)
-    num = 0.0
-    den = 0.0
-    for l in range(1, terms):
-        c = delta ** (l * (l + 1) // 2) / (
-            math.factorial(l) * math.factorial(l - 1)
-        )
-        for i in range(l + 1):
-            coef = c * (-1) ** i * math.comb(l, i)
-            rate = mu + alpha + i * alpha
-            den += coef / rate
-            num += coef / rate**2
-    return num / den
 
 
 def reference_serve(state, queues, columns, admissible, feasible_next):

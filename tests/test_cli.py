@@ -35,34 +35,78 @@ def test_regions_dump_lists_states(capsys):
 
 def test_regions_scenario_file(tmp_path, capsys):
     path = tmp_path / "sc.json"
-    tiny_scenario().save(path)
+    path.write_text(json.dumps(tiny_scenario().to_dict()))
     code, out, _ = _run(capsys, "regions", "--scenario", str(path))
     assert code == 0
     assert json.loads(out)["n_admissible"] == 7
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON proper, which has no NaN or infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_analyze_report(capsys):
     code, out, _ = _run(capsys, "analyze", "--lam", "1", "--mu", "1",
                         "--alpha", "1", "--beta", "0.5")
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["pmf"][0] == pytest.approx(0.7448317571514059)
-    assert report["p_accept_given_join"] == pytest.approx(0.4878936585456108)
-    assert report["mean_wait_joined"] == pytest.approx(0.5121063414543892)
+    assert report["p_accept_given_join"] == pytest.approx(0.471439361566038)
+    assert report["mean_wait_joined"] == pytest.approx(0.528560638433962)
+    assert set(report) == {"pmf", "p_join", "p_accept", "p_accept_given_join",
+                           "mean_wait_accepted", "mean_wait_reneged", "mean_wait_joined"}
+    assert all(report[key] > 0 for key in report if key.startswith("mean_wait"))
 
 
 def test_analyze_reports_pmf_without_densities_when_undefined(capsys):
-    # reneging this slow leaves no reneging mass: the pmf and join/accept
-    # figures are defined, the wait densities are not
+    # every arrival balks: the pmf and the join and acceptance shares are
+    # defined, the figures conditional on joining are not
     code, out, _ = _run(capsys, "analyze", "--lam", "1", "--mu", "1",
-                        "--alpha", "1e-13", "--beta", "0.5")
+                        "--alpha", "1", "--beta", "1000")
     assert code == 0
-    report = json.loads(out)
-    assert report["pmf"][0] > 0.0
-    assert "p_accept_given_join" in report
-    for key in ("mean_wait_accepted", "mean_wait_reneged", "mean_wait_joined",
-                "series_norm_deficit"):
-        assert key not in report
+    report = _strict_json(out)
+    assert report["pmf"][0] == 1.0
+    assert report["p_join"] == report["p_accept"] == 0.0
+    assert set(report) == {"pmf", "p_join", "p_accept"}
+
+
+def test_analyze_without_reneging_has_no_reneged_wait(capsys):
+    code, out, _ = _run(capsys, "analyze", "--lam", "1", "--mu", "1",
+                        "--alpha", "0", "--beta", "0.5")
+    assert code == 0
+    report = _strict_json(out)
+    assert "mean_wait_reneged" not in report
+    assert report["p_accept_given_join"] == 1.0
+    assert report["mean_wait_accepted"] == pytest.approx(report["mean_wait_joined"])
+
+
+def test_analyze_at_a_workload_that_underflows(capsys):
+    # lambda/mu rounds to 0: the queue is always empty, where the truncation
+    # of the geometric law once took the logarithm of 0
+    code, out, _ = _run(capsys, "analyze", "--lam", "1e-320", "--mu", "1e10")
+    assert code == 0
+    report = _strict_json(out)
+    assert report["pmf"][0] == 1.0
+    assert report["p_accept"] == 1.0
+    assert report["mean_wait_accepted"] == pytest.approx(1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lam", "nan", "--mu", "1"),
+    ("--lam", "1", "--mu", "inf"),
+    ("--lam", "1", "--mu", "1", "--alpha", "inf", "--beta", "0.5"),
+    ("--lam", "1", "--mu", "1", "--alpha", "nan"),
+], ids=["nan-arrival-rate", "infinite-service-rate", "infinite-reneging-rate",
+        "nan-reneging-rate"])
+def test_analyze_refuses_nan_and_infinite_rates(capsys, argv):
+    # each once ended in a traceback, a NaN in the JSON or a numeric failure
+    code, out, err = _run(capsys, "analyze", *argv)
+    assert code == 2
+    assert "invalid input" in err
+    assert out == ""
 
 
 def test_analyze_divergent_exit_code(capsys):
