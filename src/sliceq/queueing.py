@@ -125,7 +125,8 @@ def wait_densities(params: QueueParams) -> ArrivalOutcomes:
     sum_{i<=n} 1/r_i on average if accepted. It reneges at rate alpha while
     it waits, so P(renege) = alpha*E[W] and E[W; renege] = alpha*E[W^2]/2,
     where the stage recursion r_n E[W_n^2] = 2n/r_n + r_{n-1} E[W_{n-1}^2]
-    gives E[W_n^2] = (2/r_n) sum_{i<=n} i/r_i. This ratio has no
+    gives E[W_n^2] = (2/r_n) sum_{i<=n} i/r_i. The mean reneged wait is then
+    the ratio sum joins*E[W^2] / (2 sum joins*E[W]), which has no
     cancellation as alpha goes to 0.
     """
     probs = impatient_pmf(params)
@@ -136,16 +137,17 @@ def wait_densities(params: QueueParams) -> ArrivalOutcomes:
     # figures cancel and which may be subnormal
     joins = probs * delta ** (n - 1.0)
     accepts = joins * (mu / rates)
-    p_join, p_accept = delta * float(joins.sum()), delta * float(accepts.sum())
+    join_mass, accept_mass = float(joins.sum()), float(accepts.sum())
+    p_join, p_accept = delta * join_mass, delta * accept_mass
     joined = p_join > 0
     joined_wait = float(joins @ (n / rates))
     return ArrivalOutcomes(
         p_join=p_join,
         p_accept=p_accept,
-        p_accept_given_join=float(accepts.sum() / joins.sum()) if joined else None,
-        mean_accepted=(float(accepts @ np.cumsum(1.0 / rates) / accepts.sum())
+        p_accept_given_join=accept_mass / join_mass if joined else None,
+        mean_accepted=(float(accepts @ np.cumsum(1.0 / rates)) / accept_mass
                        if p_accept > 0 else None),
-        mean_joined=joined_wait / float(joins.sum()) if joined else None,
+        mean_joined=joined_wait / join_mass if joined else None,
         mean_reneged=(float(joins @ (np.cumsum(n / rates) / rates)) / joined_wait
                       if joined and alpha > 0 else None),
     )

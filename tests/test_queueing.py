@@ -132,7 +132,8 @@ def test_wait_density_closed_forms_match_quadrature(point):
     n = np.arange(1, len(probs) + 1)
     joins = probs * params.join_decay ** n
     k = np.arange(1, len(probs))
-    log_c = math.log(mu) + np.concatenate([[0.0], np.cumsum(np.log((mu + k * alpha) / (k * alpha)))])
+    log_c = math.log(mu) + np.concatenate(
+        [[0.0], np.cumsum(np.log((mu + k * alpha) / (k * alpha)))])
     with np.errstate(divide="ignore"):
         log_weight = np.log(joins / joins.sum()) + log_c
 
@@ -140,10 +141,18 @@ def test_wait_density_closed_forms_match_quadrature(point):
         return math.exp(-mu * w) * float(
             (np.exp(log_weight) * (-math.expm1(-alpha * w)) ** (n - 1)).sum())
 
-    def accepted(w):  # P(R > A) given A = w
+    # given A = w: the chances that R outlasts it or runs out first, the
+    # mean of min(A, R), and the mean of R where R runs out first
+    def accepted(w):
         return math.exp(-alpha * w)
 
-    def reneged_time(w):  # E[R; R < A] given A = w
+    def reneged(w):
+        return -math.expm1(-alpha * w)
+
+    def wait(w):
+        return reneged(w) / alpha
+
+    def reneged_time(w):
         x = alpha * w
         return (-math.expm1(-x) - x * math.exp(-x)) / alpha
 
@@ -152,11 +161,10 @@ def test_wait_density_closed_forms_match_quadrature(point):
     assert out.p_accept_given_join == pytest.approx(mass, rel=1e-8)
     assert out.mean_accepted == pytest.approx(
         _quad(lambda w: w * accepted(w) * mixture(w)) / mass, rel=1e-8)
-    assert out.mean_joined == pytest.approx(
-        _quad(lambda w: -math.expm1(-alpha * w) / alpha * mixture(w)), rel=1e-8)
+    assert out.mean_joined == pytest.approx(_quad(lambda w: wait(w) * mixture(w)), rel=1e-8)
     assert out.mean_reneged == pytest.approx(
         _quad(lambda w: reneged_time(w) * mixture(w))
-        / _quad(lambda w: -math.expm1(-alpha * w) * mixture(w)), rel=1e-8)
+        / _quad(lambda w: reneged(w) * mixture(w)), rel=1e-8)
 
 
 def test_wait_density_identities():
