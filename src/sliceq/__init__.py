@@ -21,12 +21,11 @@ from .core import (
 from .controller import ControllerState, PendingRequest
 from .engine import RunMetrics, SimConfig, isolated_queue_sim, run_replication
 from .queueing import QueueParams
-from .tenants import KnowledgeRegime, LifetimeDistribution
+from .tenants import KnowledgeRegime
 
 __all__ = [
     "ControllerState",
     "KnowledgeRegime",
-    "LifetimeDistribution",
     "PendingRequest",
     "QueueParams",
     "RunMetrics",

@@ -24,7 +24,7 @@ from .core import (
     random_strategy,
     validate_preference,
 )
-from .engine import SimConfig, iter_replications, run_replication, substream, summarize_run
+from .engine import SimConfig, run_replication, substream, summarize_run
 from .errors import (
     DivergentQueueError,
     InvalidInputError,
@@ -123,10 +123,6 @@ def cmd_simulate(args) -> int:
         initial_state=args.initial_state,
         warmup_fraction=args.warmup,
     )
-    if args.threads < 1:
-        raise InvalidInputError("--threads must be at least 1")
-    if args.trace and args.threads > 1:
-        raise InvalidInputError("--trace runs the replications serially; drop --threads")
     out = OutputDir.create(
         args.out, args.force,
         command="simulate", seed=args.seed,
@@ -136,9 +132,13 @@ def cmd_simulate(args) -> int:
 
     rows = []
 
-    def request_rows(runs):
-        # each replication is summarized, written and dropped before the next
-        for m in runs:
+    def request_rows(events):
+        # each replication is summarized, written and dropped before the next;
+        # traced events go to the file as they happen, each naming its replication
+        for rep in range(config.replications):
+            trace = None if events is None else (lambda event, rep=rep: events.write(
+                json.dumps({"replication": rep, **event}) + "\n"))
+            m = run_replication(scenario, strategy, config, rep, region=region, trace=trace)
             rows.append(summarize_run(m, scenario))
             for r in m.records:
                 yield [m.replication, r.request_id, r.slice_type,
@@ -147,19 +147,12 @@ def cmd_simulate(args) -> int:
                        "" if r.end_profit is None else f"{r.end_profit:.9g}"]
             del m
 
-    with contextlib.ExitStack() as stack:
-        if args.trace:
-            # events go to the file as they happen; each names its replication
-            fh = stack.enter_context(open(out.path / "events.jsonl", "w"))
-            out.manifest["outputs"].append("events.jsonl")
-            runs = (run_replication(scenario, strategy, config, rep, region=region, trace=(
-                lambda event, rep=rep: fh.write(json.dumps({"replication": rep, **event}) + "\n")))
-                for rep in range(config.replications))
-        else:
-            runs = iter_replications(scenario, strategy, config, args.threads, region=region)
+    if args.trace:
+        out.manifest["outputs"].append("events.jsonl")
+    with open(out.path / "events.jsonl", "w") if args.trace else contextlib.nullcontext() as events:
         out.write_csv("requests.csv", ["replication", "request_id", "slice_type", "enter_time",
                                        "lifetime", "entry_queue_length", "disposition",
-                                       "wait", "end_profit"], request_rows(runs))
+                                       "wait", "end_profit"], request_rows(events))
 
     header = list(rows[0].keys())
     out.write_csv("metrics.csv", header,
@@ -320,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--trace", action="store_true", help="write events.jsonl")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a distribution to a CSV column")

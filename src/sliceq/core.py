@@ -400,17 +400,14 @@ def naive_strategy(region: RegionIndex, order) -> Strategy:
     )
 
 
-def random_strategy(region: RegionIndex, rng, reserve_last: bool = True) -> Strategy:
-    """Independent uniform preference vector per admissible state.
-
-    With ``reserve_last`` the reserve element 0 is pinned to the end of every
-    column, so some queue is always considered before reserving.
+def random_strategy(region: RegionIndex, rng) -> Strategy:
+    """Independent uniform preference vector per admissible state, with the
+    reserve element 0 pinned to the end of every column, so some queue is
+    always considered before reserving.
     """
     n_types = len(region.feasible[0])
-    first = 1 if reserve_last else 0
     # one row shuffle per state, in order: the draws of one rng.permutation
     # per state, made in a single call
-    rows = rng.permuted(np.tile(np.arange(first, n_types + 1), (region.n_admissible, 1)), axis=1)
-    reserve = (0,) if reserve_last else ()
-    return Strategy(columns=tuple(tuple(row) + reserve for row in rows.tolist()),
+    rows = rng.permuted(np.tile(np.arange(1, n_types + 1), (region.n_admissible, 1)), axis=1)
+    return Strategy(columns=tuple(tuple(row) + (0,) for row in rows.tolist()),
                     scenario_fingerprint=region.scenario_fingerprint)

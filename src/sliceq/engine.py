@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -807,25 +806,3 @@ def summarize_run(metrics: RunMetrics, scenario: Scenario) -> dict:
     row["mean_profit"] = total_all / n_all if n_all else 0.0
     return row
 
-
-def _worker(args):
-    scenario, strategy, config, rep, single_queue, region = args
-    return run_replication(scenario, strategy, config, rep,
-                           region=region, single_queue=single_queue)
-
-
-def iter_replications(scenario: Scenario, strategy: Strategy | None,
-                      config: SimConfig, threads: int = 1,
-                      single_queue: bool = False,
-                      region: RegionIndex | None = None):
-    """Independent replications with per-replication derived seeds, yielded
-    in replication order; a consumer that drops each one holds one at a time."""
-    reps = range(config.replications)
-    if threads > 1:
-        jobs = [(scenario, strategy, config, r, single_queue, region) for r in reps]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_worker, jobs)
-    else:
-        for r in reps:
-            yield run_replication(scenario, strategy, config, r,
-                                  region=region, single_queue=single_queue)

@@ -272,8 +272,10 @@ def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, ...]:
     """Mean u_sigma, wait and admission rate over the replications. The
     engine functions are looked up on the module at each call, so wrappers
     installed on it (the benchmark's tracer) see them."""
-    runs = engine.iter_replications(scenario, strategy, replace(config, collect_records=False),
-                                    region=region, single_queue=strategy is None)
+    config = replace(config, collect_records=False)
+    runs = (engine.run_replication(scenario, strategy, config, rep, region=region,
+                                   single_queue=strategy is None)
+            for rep in range(config.replications))
     rows = [engine.summarize_run(m, scenario) for m in runs]
     return tuple(float(np.mean([row[k] for row in rows]))
                  for k in ("u_sigma", "mean_wait_joined", "admission_rate"))

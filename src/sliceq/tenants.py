@@ -1,6 +1,6 @@
-"""Rational tenant impatience: lifetime models, balking and reneging rules
-under the different levels of queue information the operator may publish,
-and per-request profit accounting.
+"""Rational tenant impatience: balking and reneging rules under the
+different levels of queue information the operator may publish, and
+per-request profit accounting.
 
 A request is worth profit_rate * lifetime when served; issuing costs
 issue_cost once and waiting costs waiting_cost_rate per period. Every rule
@@ -15,36 +15,6 @@ from dataclasses import dataclass
 from .errors import InvalidInputError
 
 REGIME_KINDS = ("patient", "blind", "position", "avg_wait", "serving_rate", "full")
-
-
-@dataclass(frozen=True)
-class LifetimeDistribution:
-    """Distribution of a slice's business-session duration.
-
-    Kinds: ``uniform`` on (0, tau_max], ``rational`` with density 1/(t+1)^2,
-    ``pareto`` with density 1/t^2 on [1, inf), ``exponential`` with the given
-    rate.
-    """
-
-    kind: str
-    param: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "rational", "pareto", "exponential"):
-            raise InvalidInputError(f"unknown lifetime kind {self.kind!r}")
-        if self.kind in ("uniform", "exponential") and self.param <= 0:
-            raise InvalidInputError("lifetime parameter must be positive")
-
-    def cdf(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        if self.kind == "uniform":
-            return min(1.0, t / self.param)
-        if self.kind == "rational":
-            return 1.0 - 1.0 / (t + 1.0)
-        if self.kind == "pareto":
-            return 0.0 if t < 1.0 else 1.0 - 1.0 / t
-        return 1.0 - math.exp(-self.param * t)
 
 
 @dataclass(frozen=True)
@@ -80,17 +50,6 @@ def balk_decision(req, length: int, mu: float) -> bool:
     value = req.profit_rate * req.lifetime
     cost = req.issue_cost + req.waiting_cost_rate * length / mu
     return value - cost >= 0.0
-
-
-def balking_chance(dist: LifetimeDistribution, length: int, mu: float,
-                   u: float, zeta: float, u0: float = 0.0) -> float:
-    """Probability that a random-lifetime tenant joins at the given length."""
-    if mu <= 0 or u <= 0 or zeta <= 0:
-        raise InvalidInputError("mu, u and zeta must be positive")
-    if length < 0:
-        raise InvalidInputError("queue length must be non-negative")
-    threshold = (u0 * mu + u * length) / (mu * zeta)
-    return 1.0 - dist.cdf(threshold)
 
 
 def renege_serving_rate(req, k: int, mu: float) -> bool:
@@ -136,7 +95,9 @@ def renege_avg_wait(req, mean_wait: float) -> bool:
     """Entrance-time decision from the published average accepted wait."""
     if mean_wait < 0:
         raise InvalidInputError("mean wait must be non-negative")
-    return req.profit_rate * req.lifetime - req.waiting_cost_rate * mean_wait >= 0.0
+    value = req.profit_rate * req.lifetime
+    cost = req.issue_cost + req.waiting_cost_rate * mean_wait
+    return value - cost >= 0.0
 
 
 def renege_blind(req, risk_factor: float) -> float:

@@ -202,27 +202,11 @@ def state_mean(metrics) -> np.ndarray:
     return mean / total
 
 
-def lifetime_sample(dist, rng) -> float:
-    """One draw of a ``tenants.LifetimeDistribution`` by inversion of its CDF."""
-    u = rng.random()
-    # 1-u lies in (0, 1]: keeps every draw strictly positive
-    if dist.kind == "uniform":
-        return dist.param * (1.0 - u)
-    if dist.kind == "rational":
-        return u / (1.0 - u)
-    if dist.kind == "pareto":
-        return 1.0 / (1.0 - u)
-    return -math.log(1.0 - u) / dist.param
-
-
-def permutation_columns(n_types: int, n_admissible: int, rng, reserve_last: bool = True):
+def permutation_columns(n_types: int, n_admissible: int, rng):
     """Random preference columns drawn with one ``rng.permutation`` per
-    admissible state, the reserve element 0 pinned last with ``reserve_last``."""
+    admissible state, the reserve element 0 pinned last."""
     cols = []
     for _ in range(n_admissible):
-        if reserve_last:
-            body = rng.permutation(np.arange(1, n_types + 1))
-            cols.append(tuple(int(x) for x in body) + (0,))
-        else:
-            cols.append(tuple(int(x) for x in rng.permutation(n_types + 1)))
+        body = rng.permutation(np.arange(1, n_types + 1))
+        cols.append(tuple(int(x) for x in body) + (0,))
     return tuple(cols)

@@ -170,7 +170,7 @@ def _regime_campaign(seeds):
     total_profit = {k: [] for k in regimes}
     for seed in seeds:
         rng = substream(seed, 0, 998)
-        strat = random_strategy(DEMO_REGION, rng, reserve_last=True)
+        strat = random_strategy(DEMO_REGION, rng)
         for name, regime in regimes.items():
             cfg = SimConfig(horizon=1000.0, master_seed=seed, queue_cap=100,
                             knowledge=regime)
@@ -251,7 +251,7 @@ def _pooled_reneging_waits(strategies, seed, rounds=25):
 def test_ac8_reneging_time_shape():
     with criterion("AC8 reneging-time shape") as st:
         rng = substream(77, 0, 998)
-        random_strategies = [random_strategy(DEMO_REGION, rng, True)
+        random_strategies = [random_strategy(DEMO_REGION, rng)
                              for _ in range(12)]
         random_pools = _pooled_reneging_waits(random_strategies, seed=77)
         prefer2 = [naive_strategy(DEMO_REGION, [2, 1, 0])] * 12

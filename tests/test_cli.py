@@ -230,12 +230,6 @@ def test_simulate_trace(tmp_path, capsys):
     manifest = json.loads((tmp_path / "traced" / "manifest.json").read_text())
     assert "events.jsonl" in manifest["outputs"]
 
-    code, _, err = _run(capsys, *argv, "--trace", "--threads", "2",
-                        "--out", str(tmp_path / "threaded"))
-    assert code == 2
-    assert "--trace" in err
-    assert not (tmp_path / "threaded").exists()
-
 
 def test_fit_command(tmp_path, capsys):
     out_dir = tmp_path / "run"
@@ -343,19 +337,13 @@ def test_markov_fixed_point_round_returns_its_own_solve(capsys):
     (("analyze", "--lam", "1", "--mu", "2", "--pmf-entries", "-3"), "--pmf-entries"),
     (("markov", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0",
       "--top-k", "-350"), "--top-k"),
-    (("simulate", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
-      "--horizon", "2", "--threads", "0"), "--threads"),
 ])
-def test_cli_refuses_counts_below_their_range(tmp_path, capsys, argv, option):
-    # a negative count was taken as a slice from the end, and no thread as one
-    out_dir = tmp_path / "run"
-    if argv[0] == "simulate":
-        argv += ("--out", str(out_dir))
+def test_cli_refuses_counts_below_their_range(capsys, argv, option):
+    # a negative count was taken as a slice from the end
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert option in err
     assert out == ""
-    assert not out_dir.exists()
 
 
 def test_search_command(capsys):
@@ -372,11 +360,14 @@ def test_search_command(capsys):
         assert kinds.count(bench) == 1
 
 
-def test_search_has_no_threads_option(capsys):
-    # only simulate runs replications on threads
+@pytest.mark.parametrize("argv", [
+    ("search", "--n-strategies", "1"),
+    ("simulate", "--out", "unused"),
+], ids=["search", "simulate"])
+def test_search_has_no_threads_option(capsys, argv):
+    # replications run one after another in one process
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--scenario", "builtin:tiny", "--n-strategies", "1",
-              "--horizon", "5", "--threads", "2"])
+        main([*argv, "--scenario", "builtin:tiny", "--horizon", "5", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 

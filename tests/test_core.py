@@ -141,7 +141,7 @@ def test_naive_strategy_constant_columns():
 def test_random_strategy_reserve_last():
     reg = enumerate_regions(tiny_scenario())
     rng = np.random.default_rng(0)
-    strat = random_strategy(reg, rng, reserve_last=True)
+    strat = random_strategy(reg, rng)
     assert all(col[-1] == 0 for col in strat.columns)
     assert all(sorted(col) == [0, 1, 2] for col in strat.columns)
 
@@ -153,7 +153,7 @@ def test_random_strategy_two_columns_balanced():
     seen = {(1, 2, 0): 0, (2, 1, 0): 0}
     draws = 400
     for _ in range(draws):
-        strat = random_strategy(reg, rng, reserve_last=True)
+        strat = random_strategy(reg, rng)
         for col in strat.columns:
             seen[col] += 1
     total = draws * reg.n_admissible
@@ -161,25 +161,10 @@ def test_random_strategy_two_columns_balanced():
         assert abs(count - total / 2) < 3 * np.sqrt(total * 0.25)
 
 
-def test_random_strategy_uniform_without_reserve_last():
-    reg = enumerate_regions(tiny_scenario())
-    rng = np.random.default_rng(2)
-    counts = {}
-    draws = 10_000
-    for _ in range(draws):
-        strat = random_strategy(reg, rng, reserve_last=False)
-        counts[strat.columns[0]] = counts.get(strat.columns[0], 0) + 1
-    assert len(counts) == 6
-    expected = draws / 6
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    # 5 degrees of freedom; 3-sigma style bound
-    assert chi2 < 20.5
-
-
 def test_random_strategy_seed_determinism():
     reg = enumerate_regions(demo_scenario())
-    a = random_strategy(reg, np.random.default_rng(7), True)
-    b = random_strategy(reg, np.random.default_rng(7), True)
+    a = random_strategy(reg, np.random.default_rng(7))
+    b = random_strategy(reg, np.random.default_rng(7))
     assert a.columns == b.columns
 
 
@@ -189,9 +174,8 @@ def _three_type_scenario():
         for c in ((0.06, 0.02), (0.02, 0.06), (0.04, 0.05))))
 
 
-@pytest.mark.parametrize("reserve_last", [True, False])
 @pytest.mark.parametrize("make_scenario", [demo_scenario, tiny_scenario, _three_type_scenario])
-def test_random_strategy_equals_one_permutation_per_state(make_scenario, reserve_last):
+def test_random_strategy_equals_one_permutation_per_state(make_scenario):
     # the columns come from one row-wise shuffle; they must be the draws of
     # one rng.permutation per admissible state, draw after draw of one stream
     reg = enumerate_regions(make_scenario())
@@ -199,8 +183,8 @@ def test_random_strategy_equals_one_permutation_per_state(make_scenario, reserve
     for seed in range(10):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert random_strategy(reg, rng, reserve_last).columns == \
-                permutation_columns(n_types, reg.n_admissible, ref, reserve_last)
+            assert random_strategy(reg, rng).columns == \
+                permutation_columns(n_types, reg.n_admissible, ref)
 
 
 def _write_json(path, data):
@@ -211,7 +195,7 @@ def _write_json(path, data):
 def test_strategy_serialization_round_trip(tmp_path):
     sc = tiny_scenario()
     reg = enumerate_regions(sc)
-    strat = random_strategy(reg, np.random.default_rng(3), True)
+    strat = random_strategy(reg, np.random.default_rng(3))
     path = tmp_path / "strategy.json"
     _write_json(path, dataclasses.asdict(strat))
     loaded = Strategy.load(path, sc)

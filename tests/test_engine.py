@@ -31,7 +31,6 @@ from sliceq.engine import (
     TAG_SERVICE,
     SimConfig,
     isolated_queue_sim,
-    iter_replications,
     run_replication,
     substream,
     summarize_run,
@@ -247,6 +246,21 @@ def test_blind_zero_budget_reneges_unless_served_at_once():
     assert sum(m.reneges) > 0
 
 
+def test_avg_wait_joiners_are_worth_their_issue_cost():
+    # the published average wait never makes joining pay a tenant whose slice
+    # is worth less than the issue cost it pays for sure on joining
+    sc = Scenario(resources=(1.0,), slice_types=(SliceType(
+        cost=(0.25,), arrival_rate=3.0, release_rate=0.5, issue_cost=6.0,
+        waiting_cost_rate=1.0, profit_rate=4.0),))
+    region = enumerate_regions(sc)
+    cfg = SimConfig(horizon=200.0, master_seed=4, queue_cap=50,
+                    knowledge=KnowledgeRegime("avg_wait"))
+    m = run_replication(sc, naive_strategy(region, [1, 0]), cfg, 0, region=region)
+    joined = [r for r in m.records if r.disposition not in ("balked", "cap_rejected")]
+    assert joined
+    assert all(4.0 * r.lifetime >= 6.0 for r in joined)
+
+
 @pytest.mark.parametrize("queue_cap", [100, None])
 def test_blind_stale_pops_are_deadlines_of_served_requests(queue_cap):
     # a request that queued and was accepted later leaves its deadline in the
@@ -295,7 +309,8 @@ def test_per_type_queues_are_quiescent_at_every_event(kind, queue_cap):
 
 
 def _summary_rows(strat, cfg, **kwargs):
-    return [summarize_run(m, DEMO) for m in iter_replications(DEMO, strat, cfg, **kwargs)]
+    return [summarize_run(run_replication(DEMO, strat, cfg, rep, **kwargs), DEMO)
+            for rep in range(cfg.replications)]
 
 
 def test_monte_carlo_replications_differ_and_derive_from_master_seed():
@@ -306,21 +321,6 @@ def test_monte_carlo_replications_differ_and_derive_from_master_seed():
     assert [r["replication"] for r in rows1] == [0, 1, 2]
     assert [r["u_sigma"] for r in rows1] == [r["u_sigma"] for r in rows2]
     assert len({r["u_sigma"] for r in rows1}) == 3
-
-
-def test_monte_carlo_worker_pool_matches_serial(monkeypatch):
-    strat = naive_strategy(DEMO_REGION, [1, 2, 0])
-    cfg = SimConfig(horizon=10.0, replications=2, master_seed=6, queue_cap=20)
-    serial = _summary_rows(strat, cfg, region=DEMO_REGION)
-    assert _summary_rows(strat, cfg, threads=2) == serial
-
-    # the workers must use the region they are given; forked workers inherit
-    # this patch, so enumerating the region again fails the run
-    def refuse(scenario):
-        raise AssertionError("worker enumerated the region again")
-
-    monkeypatch.setattr(engine, "enumerate_regions", refuse)
-    assert _summary_rows(strat, cfg, threads=2, region=DEMO_REGION) == serial
 
 
 def test_summarize_run_keys():

@@ -20,7 +20,7 @@ from sliceq.core import (
     random_strategy,
     tiny_scenario,
 )
-from sliceq.engine import SimConfig, iter_replications, run_replication, summarize_run
+from sliceq.engine import SimConfig, run_replication, summarize_run
 from sliceq.errors import InvalidInputError
 from sliceq.markov import (
     analytic_evaluation,
@@ -391,8 +391,9 @@ def test_search_rows_are_the_mean_of_the_replication_summaries():
                     collect_records=False)
     rows = {r.strategy_id: r for r in strategy_search(sc, region, 1, cfg)}
     for sid, strat in (("prefer1", naive_strategy(region, [1, 2, 0])), ("greedy_single", None)):
-        summaries = [summarize_run(m, sc) for m in iter_replications(
-            sc, strat, cfg, region=region, single_queue=strat is None)]
+        summaries = [summarize_run(run_replication(sc, strat, cfg, rep, region=region,
+                                                   single_queue=strat is None), sc)
+                     for rep in range(cfg.replications)]
         row = rows[sid]
         assert (row.u_sigma, row.mean_wait, row.admission_rate) == tuple(
             float(np.mean([s[k] for s in summaries]))

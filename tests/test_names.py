@@ -10,9 +10,6 @@ UNCALLED = {
     # the Monte-Carlo oracle of the single-queue analytics: the tests and the
     # benchmark's analytic workload check impatient_pmf against its runs
     "isolated_queue_sim",
-    # the paper's tenant analysis: the chance that a tenant with a random
-    # lifetime joins at a given queue length; no command reports it yet
-    "balking_chance",
     # a run's own balance check (every arrival is balked, cap-rejected,
     # reneged, accepted or still waiting): the tests and the benchmark's
     # run checks call it on every run they make

@@ -1,4 +1,4 @@
-"""Lifetime models, balking chances and the reneging knowledge regimes."""
+"""Balking, the reneging knowledge regimes and end profits."""
 import math
 
 import numpy as np
@@ -9,9 +9,7 @@ from sliceq.errors import InvalidInputError
 from sliceq.fitting import fit_exponential
 from sliceq.tenants import (
     KnowledgeRegime,
-    LifetimeDistribution,
     balk_decision,
-    balking_chance,
     critical_rate,
     end_profit,
     renege_avg_wait,
@@ -20,7 +18,7 @@ from sliceq.tenants import (
     renege_serving_rate,
 )
 
-from helpers import expected_wait, lifetime_sample, renege_full
+from helpers import expected_wait, renege_full
 
 
 def _req(lifetime=5.0, issue_cost=0.0, u=1.0, zeta=8.0):
@@ -47,77 +45,21 @@ def test_balk_decision_with_issue_cost():
     assert not balk_decision(req, length=0, mu=1.0)
 
 
-def test_balking_chance_closed_forms():
-    mu, u, zeta = 1.0, 1.0, 8.0
-    uni = LifetimeDistribution("uniform", 10.0)
-    rat = LifetimeDistribution("rational")
-    par = LifetimeDistribution("pareto")
-    expo = LifetimeDistribution("exponential", 0.2)
-
-    for l in range(0, 30):
-        assert balking_chance(uni, l, mu, u, zeta) == pytest.approx(
-            max(0.0, 1.0 - u * l / (mu * zeta * 10.0))
-        )
-        assert balking_chance(rat, l, mu, u, zeta) == pytest.approx(
-            mu * zeta / (u * l + mu * zeta)
-        )
-        expected_par = 1.0 if l == 0 else min(1.0, mu * zeta / (u * l))
-        assert balking_chance(par, l, mu, u, zeta) == pytest.approx(expected_par)
-        assert balking_chance(expo, l, mu, u, zeta) == pytest.approx(
-            math.exp(-0.2 * u * l / (zeta * mu))
-        )
-
-
-def test_balking_chance_rational_midpoint():
-    # mu*zeta/u = 8, so the joining chance at l = 8 is one half
-    rat = LifetimeDistribution("rational")
-    assert balking_chance(rat, 8, 1.0, 1.0, 8.0) == pytest.approx(0.5)
-
-
-def test_balking_chance_uniform_implicit_limit():
-    uni = LifetimeDistribution("uniform", 10.0)
-    l_max = int(1.0 * 8.0 * 10.0 / 1.0)
-    assert balking_chance(uni, l_max, 1.0, 1.0, 8.0) == 0.0
-
-
-def test_balking_chance_monotone_and_one_at_zero():
-    mu, u, zeta = 1.3, 0.7, 5.0
-    for dist in (LifetimeDistribution("uniform", 4.0),
-                 LifetimeDistribution("rational"),
-                 LifetimeDistribution("pareto"),
-                 LifetimeDistribution("exponential", 0.5)):
-        values = [balking_chance(dist, l, mu, u, zeta) for l in range(40)]
-        assert values[0] == 1.0
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-
 def test_empirical_balk_rate_matches_balking_chance():
-    # tenants drawing exponential lifetimes balk at exactly the derived rate
+    # tenants with Exp(eta) lifetimes join at length l with chance
+    # P(zeta*L >= u*l/mu) = exp(-eta*u*l/(zeta*mu)): the demo's balking
+    # exponent beta = eta*u/zeta is this rule's
     rng = np.random.default_rng(5)
     eta, mu, u, zeta = 0.2, 1.0, 1.0, 8.0
-    dist = LifetimeDistribution("exponential", eta)
     for l in (0, 5, 20, 60):
         draws = 20_000
         joins = 0
         for _ in range(draws):
-            req = _req(lifetime=lifetime_sample(dist, rng), zeta=zeta, u=u)
+            req = _req(lifetime=float(rng.exponential(1.0 / eta)), zeta=zeta, u=u)
             joins += balk_decision(req, l, mu)
-        expected = balking_chance(dist, l, mu, u, zeta)
+        expected = math.exp(-eta * u * l / (zeta * mu))
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / draws)
         assert abs(joins / draws - expected) < 4 * se + 1e-12
-
-
-def test_lifetime_samples_positive_and_match_cdf():
-    rng = np.random.default_rng(11)
-    for dist in (LifetimeDistribution("uniform", 3.0),
-                 LifetimeDistribution("rational"),
-                 LifetimeDistribution("pareto"),
-                 LifetimeDistribution("exponential", 2.0)):
-        xs = np.array([lifetime_sample(dist, rng) for _ in range(20_000)])
-        assert (xs > 0).all()
-        for q in (0.25, 0.5, 0.75):
-            x = float(np.quantile(xs, q))
-            assert dist.cdf(x) == pytest.approx(q, abs=0.02)
 
 
 # -- reneging -----------------------------------------------------------------
@@ -243,10 +185,9 @@ def test_renege_blind_deadline_is_exponential():
     # with exponential lifetimes the blind deadline is itself exponential
     rng = np.random.default_rng(9)
     eta, zeta, u, risk = 0.2, 8.0, 1.0, 0.5
-    dist = LifetimeDistribution("exponential", eta)
     deadlines = []
     for _ in range(50_000):
-        req = _req(lifetime=lifetime_sample(dist, rng), zeta=zeta, u=u)
+        req = _req(lifetime=float(rng.exponential(1.0 / eta)), zeta=zeta, u=u)
         deadlines.append(renege_blind(req, risk))
     fit = fit_exponential(deadlines)
     expected_rate = eta * u / (risk * zeta)
@@ -273,7 +214,9 @@ def test_rational_joiner_never_regrets_static_estimates():
 
 
 def test_entrance_decision_equals_reneging_rule_at_entry():
-    # with no issue cost, balking is the entrance case of reneging
+    # with no issue cost, balking is the entrance case of reneging; the
+    # average-wait entrance rule is balking with the published mean wait in
+    # place of l/mu, and it pays the issue cost as balking does
     rng = np.random.default_rng(21)
     for _ in range(200):
         req = _req(lifetime=float(rng.exponential(4.0)) + 1e-9,
@@ -284,6 +227,8 @@ def test_entrance_decision_equals_reneging_rule_at_entry():
         assert balk_decision(req, l, mu) == renege_serving_rate(req, l, mu)
         assert balk_decision(req, l, mu) == renege_full(req, l, mu, [0.0] * l)
         w_bar = l / mu
+        assert renege_avg_wait(req, w_bar) == balk_decision(req, l, mu)
+        req.issue_cost = float(rng.uniform(0.0, 20.0))
         assert renege_avg_wait(req, w_bar) == balk_decision(req, l, mu)
 
 
