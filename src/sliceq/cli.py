@@ -56,7 +56,10 @@ def load_scenario(ref: str) -> Scenario:
 def load_strategy(ref: str, scenario: Scenario, region: RegionIndex,
                   seed: int) -> Strategy:
     if ref.startswith("naive:"):
-        order = [int(x) for x in ref.split(":", 1)[1].split(",")]
+        try:
+            order = [int(x) for x in ref.split(":", 1)[1].split(",")]
+        except ValueError as exc:
+            raise InvalidInputError(f"naive strategy {ref!r} is not a comma list of types") from exc
         return naive_strategy(region, validate_preference(order, scenario.n_types))
     if ref == "random":
         rng = substream(seed, 0, 997)
@@ -74,12 +77,14 @@ def _number(text: str, what: str) -> float:
     return value
 
 
-def _regime_from_args(args) -> KnowledgeRegime:
-    return KnowledgeRegime(
-        args.knowledge,
-        risk_factor=args.risk_factor,
-        delta_k=args.delta_k,
-    )
+def _config_from_args(args, **extra) -> SimConfig:
+    """The simulation options every simulating subcommand shares."""
+    return SimConfig(
+        horizon=args.horizon, replications=args.replications, master_seed=args.seed,
+        queue_cap=args.queue_cap if args.queue_cap > 0 else None,
+        knowledge=KnowledgeRegime(args.knowledge, risk_factor=args.risk_factor,
+                                  delta_k=args.delta_k),
+        initial_state=args.initial_state, **extra)
 
 
 def cmd_regions(args) -> int:
@@ -114,15 +119,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     region = enumerate_regions(scenario)
     strategy = load_strategy(args.strategy, scenario, region, args.seed)
-    config = SimConfig(
-        horizon=args.horizon,
-        replications=args.replications,
-        master_seed=args.seed,
-        queue_cap=args.queue_cap if args.queue_cap > 0 else None,
-        knowledge=_regime_from_args(args),
-        initial_state=args.initial_state,
-        warmup_fraction=args.warmup,
-    )
+    config = _config_from_args(args, warmup_fraction=args.warmup)
     out = OutputDir.create(
         args.out, args.force,
         command="simulate", seed=args.seed,
@@ -238,14 +235,8 @@ def cmd_markov(args) -> int:
 def cmd_search(args) -> int:
     scenario = load_scenario(args.scenario)
     region = enumerate_regions(scenario)
-    config = SimConfig(
-        horizon=args.horizon, replications=args.replications,
-        master_seed=args.seed,
-        queue_cap=args.queue_cap if args.queue_cap > 0 else None,
-        knowledge=_regime_from_args(args), initial_state=args.initial_state,
-    )
     rows = strategy_search(
-        scenario, region, args.n_strategies, config,
+        scenario, region, args.n_strategies, _config_from_args(args),
         objective=args.objective, evaluator=args.evaluator,
         exhaustive=args.exhaustive,
     )

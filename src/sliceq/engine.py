@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, repeat, takewhile
 
 import numpy as np
 
@@ -77,8 +77,34 @@ def block_draws(sample, *args):
     """Successive draws of the sampler ``sample(*args)``, say
     ``rng.exponential`` with its scale or ``rng.random``, drawn a block at a
     time; a block holds the same doubles as that many scalar draws."""
+    return chain.from_iterable(iter(lambda: sample(*args, DRAW_BLOCK).tolist(), None))
+
+
+def arrival_windows(streams, scales):
+    """Every type's Poisson arrival epochs in time order, a window at a time.
+
+    Type t's epochs sum gaps drawn a block at a time from ``streams[t]``, in
+    the order ``now + gap`` adds them. A window lists (epoch, PRIO_ARRIVAL,
+    type index) entries, as the event heap orders its own, up to the earliest
+    of the types' last drawn epochs, so at most a block per type is held. Two
+    types share an epoch with probability zero; then the lower index is first.
+    """
+    n = len(streams)
+    pending, last = [np.empty(0)] * n, [0.0] * n
     while True:
-        yield from sample(*args, DRAW_BLOCK).tolist()
+        for t in range(n):
+            if not len(pending[t]):
+                gaps = streams[t].exponential(scales[t], DRAW_BLOCK)
+                gaps[0] += last[t]
+                pending[t] = np.cumsum(gaps)
+                last[t] = pending[t][-1]
+        end = min(last)
+        cuts = [int(np.searchsorted(p, end, side="right")) for p in pending]
+        epochs = np.concatenate([p[:c] for p, c in zip(pending, cuts)])
+        order = np.argsort(epochs, kind="stable")
+        yield list(zip(epochs[order].tolist(), repeat(PRIO_ARRIVAL),
+                       np.repeat(np.arange(n), cuts)[order].tolist()))
+        pending = [p[c:] for p, c in zip(pending, cuts)]
 
 
 @dataclass(frozen=True)
@@ -93,8 +119,8 @@ class SimConfig:
     collect_records: bool = True
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidInputError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidInputError("horizon must be positive and finite")
         if self.replications < 1:
             raise InvalidInputError("need at least one replication")
         if self.initial_state not in ("empty", "random_feasible", "random_full"):
@@ -301,7 +327,7 @@ def _stays_on_serving_rate(sim, i: int, mu):
 
 
 def _stays_on_expected_wait(sim, i: int, mu):
-    ew = sim.stats[i].expected_wait_vector(mu, len(sim.ctrl.queues[i]))
+    ew = sim.stats[i].expected_wait_vector(mu, len(sim.ctrl.queues[i])).tolist()
     return lambda req, pos: req.profit_rate * req.lifetime - req.waiting_cost_rate * ew[pos] >= 0.0
 
 
@@ -338,9 +364,9 @@ class _Simulation:
         seed = config.master_seed
         self.rng_init = substream(seed, replication, TAG_INIT)
         types = scenario.slice_types
-        self.interarrivals = [
-            block_draws(substream(seed, replication, TAG_ARRIVAL + t).exponential,
-                        1.0 / types[t].arrival_rate) for t in range(n)]
+        self.arrival_stream = chain.from_iterable(arrival_windows(
+            [substream(seed, replication, TAG_ARRIVAL + t) for t in range(n)],
+            [1.0 / st.arrival_rate for st in types]))
         self.lifetimes = [
             block_draws(substream(seed, replication, TAG_LIFETIME + t).exponential,
                         types[t].mean_lifetime) for t in range(n)]
@@ -422,19 +448,22 @@ class _Simulation:
         # were; it raises the published renege rate at p alone, or opens their
         # gate, so ew[1..p] can only fall (rounding is monotone). So a pass that
         # goes on behind each renege, with the stay rule built again, decides
-        # as a rescan from the head would.
+        # as a rescan from the head would; those that stay rebuild the bound.
         stays = self.stay_rule(self, i, mu)
         waiting = list(queue) if self.stamps is None else self._may_renege(i)
         pos = len(queue) - len(waiting) + 1
+        bounds, bound = self.bounds, 0.0
         for req in waiting:
             if stays(req, pos):
+                if bounds is not None:
+                    bound = max(bound, critical_rate(pos, req.waiting_cost_rate,
+                                                     req.profit_rate * req.lifetime))
                 pos += 1
             else:
                 self._renege(i, req, pos)
                 stays = self.stay_rule(self, i, mu)
-        if self.bounds is not None:
-            self.bounds[i] = max((critical_rate(k, r.waiting_cost_rate, r.profit_rate * r.lifetime)
-                                  for k, r in enumerate(queue, start=1)), default=0.0)
+        if bounds is not None:
+            bounds[i] = bound
 
     def _may_renege(self, i: int) -> list[PendingRequest]:
         """The requests of queue ``i`` that a position pass must visit.
@@ -449,12 +478,6 @@ class _Simulation:
                               reversed(self.ctrl.queues[i])))
         tail.reverse()
         return tail
-
-    def _join(self, i: int, req: PendingRequest) -> None:
-        """Raise queue ``i``'s critical-rate bound for a request that joined it."""
-        if self.bounds is not None and not req.done:
-            self.bounds[i] = max(self.bounds[i], critical_rate(
-                len(self.ctrl.queues[i]), req.waiting_cost_rate, req.profit_rate * req.lifetime))
 
     def _renege(self, i: int, req: PendingRequest, position: int) -> None:
         del self.ctrl.queues[i][position - 1]
@@ -483,21 +506,22 @@ class _Simulation:
         """Run to the horizon in one flat loop.
 
         Every name the loop calls is bound once here, so wrappers installed
-        before the run (the benchmark's tracer) see the calls. An event is a
-        heap entry (time, priority, sequence number, payload) and is
-        dispatched on its priority; its payload is a type index (arrival), a
-        slice type (release) or a request (blind deadline).
+        before the run (the benchmark's tracer) see the calls. Arrivals come
+        from ``arrival_windows``; the heap holds releases and blind deadlines
+        as (time, priority, sequence number, payload). The earlier of the two
+        heads is dispatched on its priority, which orders ties; its payload is
+        a type index (arrival), a slice type (release) or a request (deadline).
         """
         ctrl, strategy, metrics, trace = self.ctrl, self.strategy, self.metrics, self.trace
         queues, queue_index, stats = ctrl.queues, self.queue_index, self.stats
         queue_stats = list(zip(queues, stats))
-        slice_types, interarrivals, lifetimes = (
-            self.scenario.slice_types, self.interarrivals, self.lifetimes)
+        slice_types, arrival_stream, lifetimes = (
+            self.scenario.slice_types, self.arrival_stream, self.lifetimes)
         push, pop = heapq.heappush, heapq.heappop
         request, release, profit_of, blind_budget = on_request, on_release, end_profit, renege_blind
         joins, cap = self.entrance_rule, self.config.queue_cap
         reevaluate = None if self.stay_rule is None else self._reevaluate_queue
-        join = None if self.bounds is None else self._join
+        bounds, bound_of = self.bounds, critical_rate
         renege, record, emit = self._renege, self._record, self._emit
         lengths_timed, risk_factor, stamps = self.lengths_timed, self.risk_factor, self.stamps
         collect, records = self.config.collect_records, metrics.records
@@ -509,7 +533,7 @@ class _Simulation:
         horizon, warmup = self.config.horizon, self.warmup_time
         # the measured time per state index, and the state indices held for a
         # positive time from inside the warmup; the occupancy keys are the rest
-        occupancy: dict[int, float] = {}
+        occupancy: dict[int, float] = defaultdict(float)
         visited: set[int] = set()
 
         ctrl.state_index = self._draw_initial_state()
@@ -519,45 +543,41 @@ class _Simulation:
             for _ in range(count):
                 seq += 1
                 push(heap, (next(lifetimes[t]), PRIO_RELEASE, seq, t + 1))
-        for t in range(len(slice_types)):
-            seq += 1
-            push(heap, (next(interarrivals[t]), PRIO_ARRIVAL, seq, t))
 
         last_t = 0.0
         next_id = 1
         stale = 0
-        # every type's next arrival is always queued, so the heap never empties
+        # arrivals never run out; the heap holds none, so no entry equals one
+        arrival = next(arrival_stream)
         while True:
-            now, prio, _seq, payload = pop(heap)
+            if not heap or heap[0] > arrival:
+                now, prio, payload = arrival
+                arrival = next(arrival_stream)
+            else:
+                now, prio, _seq, payload = pop(heap)
             if now > horizon:  # the last span runs to the horizon
                 now, prio = horizon, None
-            # every popped event adds its span, a stale one too: the busy
-            # time, for full tenants the time at each queue length (both feed
-            # the published estimators and span the whole horizon), and the
-            # occupancy after the warmup
+            # every event adds its span, a stale one too: the busy time, for
+            # full tenants the time at each queue length (both feed the
+            # published estimators and span the whole horizon; a join gives
+            # a new length its slot), and the occupancy after the warmup
             dt = now - last_t
             if dt > 0:
                 for q, s in queue_stats:
                     if q:
                         s.busy_time += dt
-                if lengths_timed:
-                    for q, s in queue_stats:
-                        n, at_length = len(q), s.time_at_length
-                        while len(at_length) <= n:
-                            at_length.append(0.0)
-                        at_length[n] += dt
+                    if lengths_timed:
+                        s.time_at_length[len(q)] += dt
                 index = ctrl.state_index
                 if last_t < warmup:
                     visited.add(index)
                     dt = now - warmup
                 if dt > 0:
-                    occupancy[index] = occupancy.get(index, 0.0) + dt
+                    occupancy[index] += dt
             last_t = self.now = now
 
             if prio == PRIO_ARRIVAL:
                 t = payload
-                seq += 1
-                push(heap, (now + next(interarrivals[t]), PRIO_ARRIVAL, seq, t))
                 st = slice_types[t]
                 req = PendingRequest(next_id, t + 1, now, next(lifetimes[t]),
                                      st.issue_cost, st.waiting_cost_rate, st.profit_rate)
@@ -582,8 +602,13 @@ class _Simulation:
                     continue
                 accepted = request(ctrl, strategy, req)
                 joined[t] += 1
-                if join is not None:
-                    join(i, req)
+                if bounds is not None and not req.done:
+                    # it waits at the tail: raise the bound; a new length (one at most) gets a slot
+                    n = len(queues[i])
+                    bounds[i] = max(bounds[i], bound_of(n, req.waiting_cost_rate,
+                                                        req.profit_rate * req.lifetime))
+                    if lengths_timed and len(stats[i].time_at_length) == n:
+                        stats[i].time_at_length.append(0.0)
                 if risk_factor is not None and not req.done:
                     t_max = blind_budget(req, risk_factor)
                     if math.isfinite(t_max):
@@ -634,8 +659,9 @@ class _Simulation:
                         req.entry_queue_length, "accepted", wait, profit))
                 if trace is not None:
                     emit("accept", req.slice_type, req.request_id)
-            if reevaluate is not None:
-                for i in {queue_index[req.slice_type - 1] for req in accepted}:
+            if reevaluate is not None:  # a lone acceptance's queue is the last i set
+                for i in ((i,) if len(accepted) == 1
+                          else {queue_index[req.slice_type - 1] for req in accepted}):
                     reevaluate(i)
 
         for q in queues:
@@ -673,6 +699,8 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     than a discipline of ``_Simulation``, which has none of these three
     mechanisms and would have to branch on which caller it serves.
     """
+    if not 0 < horizon < math.inf:
+        raise InvalidInputError("horizon must be positive and finite")
     lam, mu = params.arrival_rate, params.service_rate
     alpha, beta = params.reneging_rate, params.balking_exponent
     gaps = block_draws(substream(seed, 0, TAG_ARRIVAL).exponential, 1.0 / lam)

@@ -33,7 +33,7 @@ class KnowledgeRegime:
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise InvalidInputError(f"unknown knowledge regime {self.kind!r}")
-        if self.risk_factor < 0:
+        if not self.risk_factor >= 0:
             raise InvalidInputError("risk_factor must be non-negative")
         if self.delta_k < 1:
             raise InvalidInputError("delta_k must be at least 1")

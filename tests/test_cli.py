@@ -423,6 +423,12 @@ def _tiny_strategy_argv(tmp_path, columns):
                       "--strategy", "{path}", "--horizon", "5", "--out", str(tmp_path / "run"))
 
 
+def _tiny_simulate_argv(tmp_path, *options):
+    # a valid run until ``options``, which come last and so override
+    return ("simulate", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
+            "--horizon", "5", *options, "--out", str(tmp_path / "run"))
+
+
 N_TINY_ADMISSIBLE = enumerate_regions(tiny_scenario()).n_admissible
 
 
@@ -451,11 +457,20 @@ def _tiny_scenario_json(resources=None, **first_type):
     lambda tmp: _tiny_strategy_argv(tmp, 5),
     lambda tmp: _tiny_strategy_argv(tmp, [[1, 2, 0]] * (N_TINY_ADMISSIBLE - 1)),
     lambda tmp: _tiny_strategy_argv(tmp, [[1, 1, 0]] * N_TINY_ADMISSIBLE),
+    lambda tmp: _tiny_simulate_argv(tmp, "--strategy", "naive:1,x"),
+    lambda tmp: _tiny_simulate_argv(tmp, "--horizon", "nan"),
+    lambda tmp: _tiny_simulate_argv(tmp, "--horizon", "inf"),
+    lambda tmp: ("search", "--scenario", "builtin:tiny", "--horizon", "nan",
+                 "--n-strategies", "1"),
+    lambda tmp: _tiny_simulate_argv(tmp, "--knowledge", "blind", "--risk-factor", "nan"),
 ], ids=["fit-cell", "fit-nan-cell", "scenario-value", "scenario-nan-rate",
         "scenario-nan-utility", "scenario-not-object", "scenario-not-json", "empty-probs",
-        "strategy-columns-not-list", "strategy-too-few-columns", "strategy-not-permutation"])
+        "strategy-columns-not-list", "strategy-too-few-columns", "strategy-not-permutation",
+        "naive-strategy-not-integers", "simulate-nan-horizon", "simulate-inf-horizon",
+        "search-nan-horizon", "nan-risk-factor"])
 def test_malformed_outside_input_exits_as_invalid(tmp_path, capsys, make_argv):
-    # each once ended in a traceback and exit 1, or ran with a type never served
+    # each once ended in a traceback and exit 1, ran with a type never served,
+    # never reached its horizon, or set no blind deadline
     code, out, err = _run(capsys, *make_argv(tmp_path))
     assert code == 2
     assert "invalid input" in err

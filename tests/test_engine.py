@@ -387,6 +387,15 @@ def test_queue_cap_below_one_is_refused(cap):
         SimConfig(queue_cap=cap)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_not_finite_and_positive_is_refused(horizon):
+    # a run to a non-finite horizon never ended
+    with pytest.raises(InvalidInputError):
+        SimConfig(horizon=horizon)
+    with pytest.raises(InvalidInputError):
+        isolated_queue_sim(QueueParams(1.0, 1.0, 0.5, 0.3), horizon=horizon, seed=0)
+
+
 def test_strategy_scenario_mismatch_rejected():
     strat = naive_strategy(enumerate_regions(tiny_scenario()), [1, 2, 0])
     cfg = SimConfig(horizon=5.0, master_seed=0)
@@ -706,6 +715,59 @@ def test_block_draws_equal_scalar_draws(tag, scale):
     assert blocked == [getattr(rng, sampler)(*args) for _ in range(n)]
 
 
+def test_arrival_windows_equal_a_heap_merge_of_scalar_sums():
+    # arrivals are merged a window at a time, outside the event heap; they
+    # must be the epochs a heap of each type's next ``now + gap`` yields, bit
+    # for bit, across windows that cut blocks of rates 100 times apart
+    rates = (6.0, 10.0, 0.06)
+    scales = [1.0 / rate for rate in rates]
+    windows = engine.arrival_windows(
+        [substream(5, 2, TAG_ARRIVAL + t) for t in range(3)], scales)
+    got, sizes = [], []
+    while len(sizes) < 6:
+        window = next(windows)
+        got += window
+        sizes.append(len(window))
+    assert max(sizes) <= 3 * engine.DRAW_BLOCK
+    assert {t for *_, t in got} == {0, 1, 2}
+    gaps = [engine.block_draws(substream(5, 2, TAG_ARRIVAL + t).exponential, scale)
+            for t, scale in enumerate(scales)]
+    heap = [(next(g), t) for t, g in enumerate(gaps)]
+    heapq.heapify(heap)
+    want = []
+    while len(want) < len(got):
+        now, t = heapq.heappop(heap)
+        want.append((now, engine.PRIO_ARRIVAL, t))
+        heapq.heappush(heap, (now + next(gaps[t]), t))
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
+                                  "serving_rate", "full"])
+def test_heap_pushes_are_slices_acceptances_and_deadlines(kind, monkeypatch):
+    # arrivals never enter the heap: it holds the initial slices' releases,
+    # every acceptance's release and, for blind tenants, the deadline of
+    # each request that joined and was not served at once
+    cfg = SimConfig(horizon=150.0, master_seed=3, queue_cap=30,
+                    knowledge=KnowledgeRegime(kind, risk_factor=0.5),
+                    initial_state="random_full")
+    strat = naive_strategy(DEMO_REGION, [2, 1, 0])
+    initial = sum(DEMO_REGION.feasible[
+        engine._Simulation(DEMO, strat, cfg, 0, region=DEMO_REGION)._draw_initial_state()])
+    pushes = []
+    heappush = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item[1])
+                        or heappush(heap, item))
+    m = run_replication(DEMO, strat, cfg, 0, region=DEMO_REGION)
+    monkeypatch.undo()
+    deadlines = sum(r.disposition in ("reneged", "waiting")
+                    or (r.disposition == "accepted" and r.wait > 0)
+                    for r in m.records) if kind == "blind" else 0
+    assert initial > 0 and (deadlines > 0) == (kind == "blind")
+    assert pushes.count(engine.PRIO_RELEASE) == initial + sum(m.acceptances)
+    assert len(pushes) == initial + sum(m.acceptances) + deadlines
+
+
 def _rescan_from_head(sim, i):
     """Reference cascade over queue ``i``: after every renege, re-decide
     from the head."""
@@ -819,10 +881,20 @@ def _draw_published_stats(data, gate_open, min_accepts=engine.MIN_SERVICE_OBSERV
     )
 
 
+def _join(sim, i, req):
+    """Append ``req`` to queue ``i`` and raise the queue's critical-rate bound
+    for it, as the event loop does for a request that joins and waits."""
+    queue = sim.ctrl.queues[i]
+    queue.append(req)
+    if sim.bounds is not None:
+        sim.bounds[i] = max(sim.bounds[i], critical_rate(
+            len(queue), req.waiting_cost_rate, req.profit_rate * req.lifetime))
+
+
 def _queue_simulation(kind, single, slice_type, published, requests, now=0.0, delta_k=2):
     """A fresh simulation whose queue for ``slice_type`` publishes the drawn
     statistics and holds ``requests`` (``PendingRequest`` fields), entered
-    through the join helper. Returns it, that queue's index and the list its
+    through ``_join``. Returns it, that queue's index and the list its
     reneges are recorded in."""
     cfg = SimConfig(horizon=1000.0, queue_cap=None,
                     knowledge=KnowledgeRegime(kind, delta_k=delta_k))
@@ -838,8 +910,7 @@ def _queue_simulation(kind, single, slice_type, published, requests, now=0.0, de
     stats.queued_accepts, stats.busy_time = published["queued_accepts"], published["busy_time"]
     for k, fields in enumerate(requests, start=1):
         req = PendingRequest(request_id=k, slice_type=slice_type, issue_cost=0.0, **fields)
-        sim.ctrl.queues[i].append(req)
-        sim._join(i, req)
+        _join(sim, i, req)
     reneged = []
     renege = sim._renege
     sim._renege = lambda i, req, pos: (reneged.append((req.request_id, pos)),
@@ -977,8 +1048,7 @@ def test_filter_agrees_with_the_rules_a_few_ulps_from_mu(kind, gate_open):
         else:
             want = renege_full(req, k, mu, stats.renege_rates(k))
         for r in free[:k - 1] + [req]:
-            queue.append(r)
-            sim._join(i, r)
+            _join(sim, i, r)
         sim._reevaluate_queue(i)
         assert req.done != want
         queue.clear()

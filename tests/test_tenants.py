@@ -251,3 +251,6 @@ def test_knowledge_regime_validation():
         KnowledgeRegime("position", delta_k=0)
     with pytest.raises(InvalidInputError):
         KnowledgeRegime("blind", risk_factor=-1.0)
+    # a NaN budget set no deadline, so its blind tenants never reneged
+    with pytest.raises(InvalidInputError):
+        KnowledgeRegime("blind", risk_factor=math.nan)
