@@ -64,7 +64,7 @@ def load_strategy(ref: str, scenario: Scenario, region: RegionIndex,
     if ref == "random":
         rng = substream(seed, 0, 997)
         return random_strategy(region, rng)
-    return Strategy.load(ref, scenario)
+    return Strategy.load(ref, region)
 
 
 def _number(text: str, what: str) -> float:
@@ -79,9 +79,11 @@ def _number(text: str, what: str) -> float:
 
 def _config_from_args(args, **extra) -> SimConfig:
     """The simulation options every simulating subcommand shares."""
+    if args.queue_cap < 0:
+        raise InvalidInputError("--queue-cap must be non-negative (0 means no cap)")
     return SimConfig(
         horizon=args.horizon, replications=args.replications, master_seed=args.seed,
-        queue_cap=args.queue_cap if args.queue_cap > 0 else None,
+        queue_cap=args.queue_cap or None,
         knowledge=KnowledgeRegime(args.knowledge, risk_factor=args.risk_factor,
                                   delta_k=args.delta_k),
         initial_state=args.initial_state, **extra)
@@ -224,7 +226,7 @@ def cmd_markov(args) -> int:
         "acceptance_rates": [float(x) for x in result["acceptance_rates"]],
         "u_sigma": result["u_sigma"],
         "top_states": [
-            {"state": list(region.state(int(i))), "prob": float(dist[int(i)])}
+            {"state": list(region.feasible[int(i)]), "prob": float(dist[int(i)])}
             for i in top
         ],
     }
@@ -267,15 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def add_scenario(p):
         p.add_argument("--scenario", default="builtin:demo",
                        help="scenario JSON path or builtin:demo / builtin:tiny")
+
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0)
+        add_scenario(p)
 
     def add_sim_opts(p):
         p.add_argument("--horizon", type=float, default=1000.0)
         p.add_argument("--replications", type=int, default=1)
-        p.add_argument("--queue-cap", dest="queue_cap", type=int, default=100)
+        p.add_argument("--queue-cap", dest="queue_cap", type=int, default=100,
+                       help="most requests a queue holds (0 means no cap)")
         p.add_argument("--knowledge", default="patient", choices=REGIME_KINDS)
         p.add_argument("--risk-factor", dest="risk_factor", type=float, default=1.0)
         p.add_argument("--delta-k", dest="delta_k", type=int, default=2)
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["empty", "random_feasible", "random_full"])
 
     p = sub.add_parser("regions", help="report feasible/admissible region sizes")
-    add_common(p)
+    add_scenario(p)
     p.add_argument("--dump", action="store_true", help="include the state lists")
     p.set_defaults(func=cmd_regions)
 

@@ -70,7 +70,7 @@ class ControllerState:
 
     @property
     def state(self) -> tuple[int, ...]:
-        return self.region.state(self.state_index)
+        return self.region.feasible[self.state_index]
 
 
 def serve_queues(ctrl: ControllerState, strategy: Strategy) -> list[PendingRequest]:

@@ -22,6 +22,12 @@ from .errors import InvalidInputError, StrategyMismatchError, UnboundedRegionErr
 # independent of summation order.
 FEASIBILITY_SLACK = 1e-9
 
+# Largest region enumerate_regions builds: 198,253 states (three types on one
+# resource, costs (c, c, 2c), c = 1/131) took 3.2-3.8 s at a peak RSS of 123 MB
+# on a 2-vCPU Xeon, and regions grow with 1/c cubed. The largest region that a
+# test or the benchmark builds has 7,293 states.
+MAX_REGION_STATES = 200_000
+
 
 @dataclass(frozen=True)
 class SliceType:
@@ -91,6 +97,9 @@ class Scenario:
                 raise InvalidInputError(
                     f"cost vector length {len(st.cost)} != resource count {m}"
                 )
+        # hashed once: every replication checks its strategy against it
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(blob.encode()).hexdigest())
 
     @property
     def n_types(self) -> int:
@@ -121,8 +130,7 @@ class Scenario:
 
     def fingerprint(self) -> str:
         """Stable hash of the scenario contents, stored in strategy files."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self._fingerprint
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -236,15 +244,17 @@ def _load_json(path):
 class RegionIndex:
     """Complete enumeration of the feasible and admissible regions.
 
-    ``feasible`` lists every feasible state with the admissible states first;
-    both blocks are lexicographically sorted. This makes the feasible index of
-    an admissible state equal to its admissible index, which is what lets
-    strategy columns and transition-matrix rows share positions.
+    ``feasible`` lists every feasible state, the ``n_admissible`` admissible
+    ones first; both blocks are lexicographically sorted. So the feasible
+    index of an admissible state is its admissible index, which lets strategy
+    columns and transition-matrix rows share positions.
     """
 
     feasible: list[tuple[int, ...]]
-    admissible: list[tuple[int, ...]]
+    n_admissible: int
     scenario_fingerprint: str
+    # loads[i] is the resource bundle that state i assigns (one row per state)
+    loads: np.ndarray = field(repr=False)
     _feasible_index: dict = field(repr=False)
     # next_feasible[i][t] is the feasible index reached by adding one type-t
     # slice to state i, or -1 when that is infeasible.
@@ -255,28 +265,19 @@ class RegionIndex:
     def n_feasible(self) -> int:
         return len(self.feasible)
 
-    @property
-    def n_admissible(self) -> int:
-        return len(self.admissible)
-
     def feasible_index(self, state) -> int:
         try:
             return self._feasible_index[tuple(state)]
         except KeyError:
             raise InvalidInputError(f"state {tuple(state)} is not feasible")
 
-    def is_admissible_index(self, index: int) -> bool:
-        return index < self.n_admissible
-
-    def state(self, index: int) -> tuple[int, ...]:
-        return self.feasible[index]
-
 
 def enumerate_regions(scenario: Scenario) -> RegionIndex:
     """Enumerate every feasible state and the admissible subset.
 
     Raises UnboundedRegionError when some slice type consumes no resource at
-    all, since the state space would then be infinite.
+    all, since the state space would then be infinite, and when the region
+    has more than MAX_REGION_STATES states.
     """
     n = scenario.n_types
     costs = scenario.cost_matrix()
@@ -304,16 +305,12 @@ def enumerate_regions(scenario: Scenario) -> RegionIndex:
             if child not in seen and feasible(child):
                 seen.add(child)
                 stack.append(child)
+        if len(seen) > MAX_REGION_STATES:
+            raise UnboundedRegionError(f"the region has more than {MAX_REGION_STATES} states")
 
-    all_states = sorted(seen)
-    admissible, boundary = [], []
-    for s in all_states:
-        if any(s[:t] + (s[t] + 1,) + s[t + 1:] in seen for t in range(n)):
-            admissible.append(s)
-        else:
-            boundary.append(s)
-
-    ordered = admissible + boundary
+    boundary = {s for s in seen
+                if not any(s[:t] + (s[t] + 1,) + s[t + 1:] in seen for t in range(n))}
+    ordered = sorted(seen, key=lambda s: (s in boundary, s))
     index = {s: i for i, s in enumerate(ordered)}
     nxt, prv = [], []
     for s in ordered:
@@ -331,8 +328,9 @@ def enumerate_regions(scenario: Scenario) -> RegionIndex:
 
     return RegionIndex(
         feasible=ordered,
-        admissible=list(admissible),
+        n_admissible=len(seen) - len(boundary),
         scenario_fingerprint=scenario.fingerprint(),
+        loads=np.asarray(ordered, dtype=float) @ costs.T,
         _feasible_index=index,
         next_feasible=nxt,
         prev_feasible=prv,
@@ -356,9 +354,6 @@ class Strategy:
     columns: tuple[tuple[int, ...], ...]
     scenario_fingerprint: str
 
-    def column(self, admissible_index: int) -> tuple[int, ...]:
-        return self.columns[admissible_index]
-
     def check_scenario(self, scenario: Scenario) -> None:
         if scenario.fingerprint() != self.scenario_fingerprint:
             raise StrategyMismatchError(
@@ -366,9 +361,9 @@ class Strategy:
             )
 
     @classmethod
-    def load(cls, path, scenario: Scenario | None = None) -> "Strategy":
-        """Read a strategy file; with ``scenario``, also check that it was made
-        for that scenario and has one permutation of 0..N per admissible state."""
+    def load(cls, path, region: RegionIndex) -> "Strategy":
+        """Read a strategy file and check that it was made for the region's
+        scenario and has one permutation of 0..N per admissible state."""
         data = _load_json(path)
         try:
             strat = cls(
@@ -379,14 +374,13 @@ class Strategy:
             raise InvalidInputError(f"strategy file is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"strategy file has a malformed value: {exc}") from exc
-        if scenario is not None:
-            strat.check_scenario(scenario)
-            n_admissible = enumerate_regions(scenario).n_admissible
-            if len(strat.columns) != n_admissible:
-                raise InvalidInputError(f"strategy has {len(strat.columns)} columns, "
-                                        f"the scenario {n_admissible} admissible states")
-            for col in strat.columns:
-                validate_preference(col, scenario.n_types)
+        if strat.scenario_fingerprint != region.scenario_fingerprint:
+            raise StrategyMismatchError("strategy was generated for a different scenario")
+        if len(strat.columns) != region.n_admissible:
+            raise InvalidInputError(f"strategy has {len(strat.columns)} columns, "
+                                    f"the scenario {region.n_admissible} admissible states")
+        for col in strat.columns:
+            validate_preference(col, len(region.feasible[0]))
         return strat
 
 

@@ -390,9 +390,6 @@ class _Simulation:
         self.stamps = ([deque(maxlen=config.knowledge.delta_k + 1) for _ in range(n_queues)]
                        if kind == "position" else None)
 
-        self.assigned_by_index = (
-            np.asarray(self.region.feasible, dtype=float) @ scenario.cost_matrix().T
-        )
         self.now = 0.0
         self.warmup_time = config.warmup_fraction * config.horizon
 
@@ -673,7 +670,7 @@ class _Simulation:
         metrics.queued_accepts = [s.queued_accepts for s in stats]
         feasible = self.region.feasible
         metrics.occupancy = {feasible[i]: dt for i, dt in occupancy.items()}
-        metrics.max_assigned = self.assigned_by_index[list(visited | occupancy.keys())].max(
+        metrics.max_assigned = self.region.loads[list(visited | occupancy.keys())].max(
             axis=0, initial=0.0).tolist()
         return metrics
 

@@ -51,8 +51,8 @@ def build_transition_matrix(strategy: Strategy, region: RegionIndex,
     rows, cols, vals = [], [], []
     for j in range(n_states):
         self_mass = 1.0
-        if region.is_admissible_index(j):
-            for pref in strategy.column(j):
+        if j < region.n_admissible:
+            for pref in strategy.columns[j]:
                 if pref == 0:
                     break
                 target = region.next_feasible[j][pref - 1]
@@ -253,7 +253,7 @@ OBJECTIVES = {
 @dataclass
 class SearchRow:
     strategy_id: str
-    kind: str  # random | prefer1 | prefer2 | greedy_single
+    kind: str  # random | exhaustive | prefer1 | prefer2 | greedy_single
     u_sigma: float
     mean_wait: float
     admission_rate: float
@@ -317,7 +317,7 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
         for i, combo in enumerate(itertools.product(options, repeat=region.n_admissible)):
             strat = Strategy(columns=tuple(combo),
                              scenario_fingerprint=region.scenario_fingerprint)
-            candidates.append((f"exhaustive_{i}", "random", strat))
+            candidates.append((f"exhaustive_{i}", "exhaustive", strat))
     else:
         candidates.extend((f"random_{i}", "random", random_strategy(region, rng))
                           for i in range(n_strategies))

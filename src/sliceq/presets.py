@@ -319,7 +319,7 @@ def run_regions_report(scenario: Scenario, out: OutputDir | None = None,
         "scenario_fingerprint": region.scenario_fingerprint,
     }
     if dump_states:
-        report["admissible"] = [list(s) for s in region.admissible]
+        report["admissible"] = [list(s) for s in region.feasible[:region.n_admissible]]
         report["boundary"] = [
             list(s) for s in region.feasible[region.n_admissible:]
         ]
@@ -328,7 +328,7 @@ def run_regions_report(scenario: Scenario, out: OutputDir | None = None,
     return report
 
 
-# preset name -> runner(scenario, out, scale, seed, progress=..., **kwargs)
+# preset name -> runner(scenario, out, scale, seed, progress=...)
 PRESETS = {
     "table3": run_table3,
     "fig4_iat": run_fig4_iat,
@@ -341,7 +341,7 @@ PRESET_NAMES = tuple(PRESETS)
 
 
 def run_preset(name: str, scenario: Scenario, out_path, scale: float,
-               seed: int, force: bool = False, progress=None, **kwargs) -> dict:
+               seed: int, force: bool = False, progress=None) -> dict:
     if name not in PRESETS:
         raise InvalidInputError(f"unknown preset {name!r}")
     if not 0 < scale <= 1:
@@ -352,7 +352,7 @@ def run_preset(name: str, scenario: Scenario, out_path, scale: float,
         scenario_fingerprint=scenario.fingerprint(),
         argv=sys.argv[1:],
     )
-    summary = PRESETS[name](scenario, out, scale, seed, progress=progress, **kwargs)
+    summary = PRESETS[name](scenario, out, scale, seed, progress=progress)
     out.manifest["summary"] = summary
     out.finalize()
     return summary

@@ -283,7 +283,7 @@ def test_ac9_property_suite():
         feas, adm = rational_regions(DEMO.resources,
                                      [s.cost for s in DEMO.slice_types])
         assert set(DEMO_REGION.feasible) == feas
-        assert set(DEMO_REGION.admissible) == adm
+        assert set(DEMO_REGION.feasible[:DEMO_REGION.n_admissible]) == adm
         checks.append("region-oracle")
 
         # index round trip
@@ -355,7 +355,7 @@ def test_ac9_property_suite():
             trials += 1
             columns = {}
             cols = []
-            for state in region.admissible:
+            for state in region.feasible[:region.n_admissible]:
                 perm = tuple(int(x) for x in rng.permutation(n + 1))
                 columns[state] = perm
                 cols.append(perm)
@@ -378,7 +378,7 @@ def test_ac9_property_suite():
                         profit_rate=1.0))
             feasible = set(region.feasible)
             expected_state, expected = reference_serve(
-                start_state, queues, columns, set(region.admissible),
+                start_state, queues, columns, set(region.feasible[:region.n_admissible]),
                 lambda s: s in feasible)
             accepted = serve_queues(ctrl, strat2)
             assert ctrl.state == expected_state

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from sliceq import cli, engine
+from sliceq import cli, core, engine
 from sliceq.cli import main
 from sliceq.core import demo_scenario, enumerate_regions, tiny_scenario
 from sliceq.tenants import KnowledgeRegime
@@ -337,6 +337,7 @@ def test_markov_fixed_point_round_returns_its_own_solve(capsys):
     (("analyze", "--lam", "1", "--mu", "2", "--pmf-entries", "-3"), "--pmf-entries"),
     (("markov", "--scenario", "builtin:demo", "--strategy", "naive:2,1,0",
       "--top-k", "-350"), "--top-k"),
+    (("search", "--scenario", "builtin:tiny", "--queue-cap", "-5"), "--queue-cap"),
 ])
 def test_cli_refuses_counts_below_their_range(capsys, argv, option):
     # a negative count was taken as a slice from the end
@@ -370,6 +371,22 @@ def test_search_has_no_threads_option(capsys, argv):
         main([*argv, "--scenario", "builtin:tiny", "--horizon", "5", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_regions_has_no_seed_option(capsys):
+    # enumeration draws nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["regions", "--scenario", "builtin:tiny", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_regions_past_the_state_bound_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(core, "MAX_REGION_STATES", 100)
+    code, out, err = _run(capsys, "regions", "--scenario", "builtin:demo")
+    assert code == 2
+    assert "more than 100 states" in err
+    assert out == ""
 
 
 def test_preset_regions(tmp_path, capsys):

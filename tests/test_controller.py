@@ -257,7 +257,7 @@ def test_pass_uses_column_from_pass_start():
     # the walk simply finds type 1 infeasible
     region = TINY_REGION
     columns = []
-    for state in region.admissible:
+    for state in region.feasible[:region.n_admissible]:
         columns.append((2, 1, 0) if state == (0, 4) else (1, 2, 0))
     strat = Strategy(columns=tuple(columns),
                      scenario_fingerprint=region.scenario_fingerprint)
@@ -280,9 +280,9 @@ def test_quiescence_no_acceptable_head_remains():
                 ctrl.queues[t].append(_req(t + 1, rid))
         serve_queues(ctrl, strat)
         idx = ctrl.state_index
-        if not TINY_REGION.is_admissible_index(idx):
+        if not idx < TINY_REGION.n_admissible:
             continue
-        column = strat.column(idx)
+        column = strat.columns[idx]
         for pref in column:
             if pref == 0:
                 break
@@ -319,7 +319,7 @@ def test_serve_matches_reference_interpreter():
         n = sc.n_types
         columns = {}
         cols = []
-        for state in region.admissible:
+        for state in region.feasible[:region.n_admissible]:
             perm = tuple(int(x) for x in rng.permutation(n + 1))
             columns[state] = perm
             cols.append(perm)
@@ -338,7 +338,7 @@ def test_serve_matches_reference_interpreter():
                 ctrl.queues[t].append(_req(t + 1, label))
             rid += depth
 
-        admissible = set(region.admissible)
+        admissible = set(region.feasible[:region.n_admissible])
         feasible = set(region.feasible)
         expected_state, expected_accepts = reference_serve(
             start, queues, columns, admissible,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sliceq import core
 from sliceq.core import (
     Scenario,
     SliceType,
@@ -46,7 +47,7 @@ def test_demo_region_matches_exact_arithmetic():
     assert reg.n_feasible == len(feas)
     assert reg.n_admissible == len(adm)
     assert set(reg.feasible) == feas
-    assert set(reg.admissible) == adm
+    assert set(reg.feasible[:reg.n_admissible]) == adm
 
 
 def _zero_capacity_scenario():
@@ -73,9 +74,26 @@ def test_zero_cost_type_rejected():
         enumerate_regions(sc)
 
 
+def test_region_past_the_state_bound_is_refused(monkeypatch):
+    # the demo region has 357 states: the bound is checked during the search
+    monkeypatch.setattr(core, "MAX_REGION_STATES", 357)
+    assert enumerate_regions(demo_scenario()).n_feasible == 357
+    monkeypatch.setattr(core, "MAX_REGION_STATES", 100)
+    with pytest.raises(UnboundedRegionError, match="more than 100 states"):
+        enumerate_regions(demo_scenario())
+
+
+def test_region_loads_are_states_times_costs():
+    for sc in (demo_scenario(), tiny_scenario()):
+        reg = enumerate_regions(sc)
+        expected = np.asarray(reg.feasible, dtype=float) @ sc.cost_matrix().T
+        assert reg.loads.shape == expected.shape
+        assert reg.loads.tobytes() == expected.tobytes()
+
+
 def test_admissible_states_are_indexed_first():
     reg = enumerate_regions(demo_scenario())
-    for i, state in enumerate(reg.admissible):
+    for i, state in enumerate(reg.feasible[:reg.n_admissible]):
         assert reg.feasible[i] == state
         assert reg.feasible_index(state) == i
     # every admissible state has some feasible increment, boundary states none
@@ -87,19 +105,19 @@ def test_admissible_states_are_indexed_first():
 def test_region_transitions_reverify_feasible():
     sc = demo_scenario()
     reg = enumerate_regions(sc)
-    for i, state in enumerate(reg.admissible):
+    for i, state in enumerate(reg.feasible[:reg.n_admissible]):
         for t, target in enumerate(reg.next_feasible[i]):
             if target >= 0:
                 up = state[:t] + (state[t] + 1,) + state[t + 1:]
                 assert (sc.cost_matrix() @ up <= np.asarray(sc.resources) + 1e-9).all()
-                assert reg.state(target) == up
+                assert reg.feasible[target] == up
 
 
 def test_index_round_trip():
     reg = enumerate_regions(demo_scenario())
     for i, state in enumerate(reg.feasible):
         assert reg.feasible_index(state) == i
-        assert reg.state(i) == state
+        assert reg.feasible[i] == state
 
 
 def test_region_counts_invariant_under_type_permutation():
@@ -114,7 +132,7 @@ def test_region_counts_invariant_under_type_permutation():
 def test_boundary_states_not_admissible():
     reg = enumerate_regions(tiny_scenario())
     assert reg.n_admissible < reg.n_feasible
-    boundary = set(reg.feasible) - set(reg.admissible)
+    boundary = set(reg.feasible) - set(reg.feasible[:reg.n_admissible])
     assert boundary == {(0, 5), (1, 2)}
     # the boundary is never empty, since a feasible state of the largest
     # total count has no feasible increment: random_full starts rely on it
@@ -198,8 +216,21 @@ def test_strategy_serialization_round_trip(tmp_path):
     strat = random_strategy(reg, np.random.default_rng(3))
     path = tmp_path / "strategy.json"
     _write_json(path, dataclasses.asdict(strat))
-    loaded = Strategy.load(path, sc)
+    loaded = Strategy.load(path, reg)
     assert loaded == strat
+
+
+def test_strategy_load_reads_the_region_it_is_given(tmp_path, monkeypatch):
+    reg = enumerate_regions(tiny_scenario())
+    strat = random_strategy(reg, np.random.default_rng(5))
+    path = tmp_path / "strategy.json"
+    _write_json(path, dataclasses.asdict(strat))
+
+    def refuse(scenario):
+        raise AssertionError("the region was enumerated again")
+
+    monkeypatch.setattr(core, "enumerate_regions", refuse)
+    assert Strategy.load(path, reg) == strat
 
 
 def test_strategy_fingerprint_mismatch(tmp_path):
@@ -208,7 +239,7 @@ def test_strategy_fingerprint_mismatch(tmp_path):
     path = tmp_path / "strategy.json"
     _write_json(path, dataclasses.asdict(strat))
     with pytest.raises(StrategyMismatchError):
-        Strategy.load(path, demo_scenario())
+        Strategy.load(path, enumerate_regions(demo_scenario()))
 
 
 def test_scenario_serialization_round_trip(tmp_path):

@@ -403,6 +403,22 @@ def test_strategy_scenario_mismatch_rejected():
         run_replication(DEMO, strat, cfg)
 
 
+def test_replications_hash_nothing(monkeypatch):
+    # a scenario hashes itself once, when it is made; a replication checks its
+    # strategy against that fingerprint
+    strat = naive_strategy(DEMO_REGION, [2, 1, 0])
+    cfg = SimConfig(horizon=20.0, master_seed=1, knowledge=KnowledgeRegime("full"),
+                    initial_state="random_full")
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(args) or sha256(*args))
+    for rep in range(3):
+        run_replication(DEMO, strat, cfg, rep, region=DEMO_REGION)
+    assert calls == []
+    Scenario.from_dict(DEMO.to_dict())
+    assert len(calls) == 1
+
+
 # -- isolated queue -----------------------------------------------------------
 
 def test_isolated_patient_geometric_occupancy_and_little():

@@ -67,10 +67,10 @@ def test_transition_skips_type_that_does_not_fit():
     # one does, so the controller serves queue 2 whenever it is non-empty
     region = enumerate_regions(demo_scenario())
     i = region.feasible_index((19, 4))
-    assert region.is_admissible_index(i)
+    assert i < region.n_admissible
     assert region.next_feasible[i][0] < 0
     up2 = region.next_feasible[i][1]
-    assert region.state(up2) == (19, 5)
+    assert region.feasible[up2] == (19, 5)
     strat = naive_strategy(region, [1, 2, 0])
     row = build_transition_matrix(strat, region, [0.3, 0.5])[[i]].toarray().ravel()
     assert row[up2] == pytest.approx(0.5)
@@ -369,6 +369,7 @@ def test_strategy_search_exhaustive_small_region():
     rows = strategy_search(sc, region, 0, cfg, exhaustive=True,
                            include_benchmarks=False)
     assert len(rows) == 2 ** region.n_admissible
+    assert {r.kind for r in rows} == {"exhaustive"}
 
 
 @pytest.mark.parametrize("objective", ["wait", "admission"])
