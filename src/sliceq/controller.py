@@ -25,9 +25,11 @@ from .core import RegionIndex, Strategy
 from .errors import InvalidInputError, ProtocolViolationError
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PendingRequest:
-    """One queued slice request with its realized lifetime and economics."""
+    """One queued slice request with its realized lifetime and economics.
+
+    Requests compare by identity: a queue finds one with ``deque.index``."""
 
     request_id: int
     slice_type: int  # 1-based, matching preference-vector entries

@@ -14,13 +14,14 @@ then the queue cap. Which queue a request waits in and how the queues are
 served is decided in ``controller``; the loop knows the queues by index.
 ``isolated_queue_sim`` stays a loop of its own: its service epochs are
 exogenous, and its Bernoulli balk coin and Exp(alpha) patience have no
-counterpart in the admission loop.
+counterpart in the admission loop. Both loops take their arrivals from
+``arrival_windows``, so neither event heap holds an arrival.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, repeat, takewhile
 
@@ -63,8 +64,21 @@ DRAW_BLOCK = 512  # draws per refill of a block-drawn stream
 # FILTER_SLACK. A decision's sides are products, quotients and, at position
 # n, a left-to-right sum of n terms each at most fl(1/mu) (rounding is
 # monotone): they err within (n + 4)·2^-52 <= 1e-9 up to MAX_FILTER_LENGTH.
+# The full entrance screen balks when the surplus falls short of
+# u·n/(mu + omega) by FILTER_SLACK, omega at least every computed prefix sum
+# of the published renege rates: each term of the wait is then at least
+# fl(1/fl(mu + omega)), and the same count holds.
 FILTER_SLACK = 1.0 + 1e-9
 MAX_FILTER_LENGTH = int(1e-9 * 2**52) - 4
+# Acceptances serve a requests from a queue's head and leave n: a request at
+# k <= n + a moves to k - a, and k·u/value scales with k, by
+# (k - a)/k <= n/(n + a). So bound·n/(n + a) still bounds the critical rates
+# in exact arithmetic. In floats a critical rate is two roundings from its
+# exact value, at the old position and the new, and bound·n/(n + a) two
+# more; each errs by a factor within 1 ± 2^-53 away from underflow. These
+# six and the product by SHIFT_SLACK itself need a factor just over
+# 1 + 7·2^-53, and SHIFT_SLACK = 1 + 16·2^-53 gives it.
+SHIFT_SLACK = 1.0 + 2.0**-49
 
 
 def substream(master_seed: int, replication: int, tag: int) -> np.random.Generator:
@@ -231,11 +245,21 @@ class _QueueStats:
         self.renege_counts: list[int] = [0]
         self.renege_total = 0
 
+    @property
+    def renege_counts(self) -> list[int]:
+        return self._renege_counts
+
+    @renege_counts.setter
+    def renege_counts(self, counts: list[int]) -> None:
+        self._renege_counts = counts
+        self._omega_bound = None  # found again when next asked for
+
     def note_renege(self, position: int) -> None:
         while len(self.renege_counts) <= position:
             self.renege_counts.append(0)
         self.renege_counts[position] += 1
         self.renege_total += 1
+        self._omega_bound = None
 
     def service_rate(self) -> float | None:
         if self.queued_accepts < MIN_SERVICE_OBSERVATIONS or self.busy_time <= 0:
@@ -246,6 +270,25 @@ class _QueueStats:
         if self.accept_count == 0:
             return 0.0
         return self.accept_wait_sum / self.accept_count
+
+    def omega_bound(self) -> float:
+        """At least every left-to-right prefix sum of the published renege
+        rates, until the counts next change; zero while the rates are gated.
+
+        Between changes of the counts the occupied times only grow, so every
+        published rate can only fall. A counted position that publishes zero
+        (never occupied) may publish any rate later: the bound is infinite
+        then, and is looked for again at the next call.
+        """
+        if self.renege_total < MIN_SERVICE_OBSERVATIONS:
+            return 0.0
+        if self._omega_bound is None:
+            counts = self.renege_counts
+            rates = self.renege_rates(len(counts) - 1)
+            if np.any((np.asarray(counts) > 0) & (rates == 0)):
+                return math.inf
+            self._omega_bound = float(np.add.accumulate(rates)[-1])
+        return self._omega_bound
 
     def renege_rates(self, up_to: int) -> np.ndarray:
         """Per-position renege-rate estimates.
@@ -301,11 +344,12 @@ def _joins_on_expected_wait(req, stats: _QueueStats, length: int) -> bool:
         return True
     surplus = req.profit_rate * req.lifetime - req.issue_cost
     if length <= MAX_FILTER_LENGTH:
-        # ew[length] <= length/mu, equal up to rounding while renege rates are gated
-        cost = req.waiting_cost_rate * length / mu
-        if surplus >= cost * FILTER_SLACK:
+        # length/(mu + omega) <= ew[length] <= length/mu up to rounding, and
+        # omega is zero while the renege rates are gated
+        u = req.waiting_cost_rate
+        if surplus >= u * length / mu * FILTER_SLACK:
             return True
-        if surplus * FILTER_SLACK < cost and stats.renege_total < MIN_SERVICE_OBSERVATIONS:
+        if surplus * FILTER_SLACK < u * length / (mu + stats.omega_bound()):
             return False
     ew = stats.expected_wait_vector(mu, length)
     return surplus - req.waiting_cost_rate * ew[length] >= 0.0
@@ -378,8 +422,9 @@ class _Simulation:
         self.stats = [_QueueStats() for _ in range(n_queues)]
         kind = config.knowledge.kind
         self.entrance_rule, self.stay_rule = _REGIME_RULES[kind]
-        # the time at each queue length feeds the published renege rates alone
-        self.lengths_timed = kind == "full"
+        # only full tenants read the published renege rates, so only their
+        # runs time each queue length and count reneges by position
+        self.reneges_published = kind == "full"
         # blind tenants renege at a waiting budget fixed when they join
         self.risk_factor = config.knowledge.risk_factor if kind == "blind" else None
         # per queue, for the two stay rules it screens: a bound above each
@@ -479,7 +524,8 @@ class _Simulation:
     def _renege(self, i: int, req: PendingRequest, position: int) -> None:
         del self.ctrl.queues[i][position - 1]
         req.done = True
-        self.stats[i].note_renege(position)
+        if self.reneges_published:
+            self.stats[i].note_renege(position)
         t = req.slice_type - 1
         wait = self.now - req.enter_time
         self.metrics.reneges[t] += 1
@@ -520,7 +566,7 @@ class _Simulation:
         reevaluate = None if self.stay_rule is None else self._reevaluate_queue
         bounds, bound_of = self.bounds, critical_rate
         renege, record, emit = self._renege, self._record, self._emit
-        lengths_timed, risk_factor, stamps = self.lengths_timed, self.risk_factor, self.stamps
+        lengths_timed, risk_factor, stamps = self.reneges_published, self.risk_factor, self.stamps
         collect, records = self.config.collect_records, metrics.records
         arrivals, joined, balks, cap_rejections, acceptances = (
             metrics.arrivals, metrics.joined, metrics.balks, metrics.cap_rejections,
@@ -597,15 +643,14 @@ class _Simulation:
                     if trace is not None:
                         emit("cap_reject", t + 1, req.request_id)
                     continue
+                if bounds is not None:  # it joins at the tail; acceptances move it up
+                    bounds[i] = max(bounds[i], bound_of(length + 1, req.waiting_cost_rate,
+                                                        req.profit_rate * req.lifetime))
                 accepted = request(ctrl, strategy, req)
                 joined[t] += 1
-                if bounds is not None and not req.done:
-                    # it waits at the tail: raise the bound; a new length (one at most) gets a slot
-                    n = len(queues[i])
-                    bounds[i] = max(bounds[i], bound_of(n, req.waiting_cost_rate,
-                                                        req.profit_rate * req.lifetime))
-                    if lengths_timed and len(stats[i].time_at_length) == n:
-                        stats[i].time_at_length.append(0.0)
+                # a new length (one at most) gets a slot
+                if lengths_timed and len(stats[i].time_at_length) == len(queues[i]):
+                    stats[i].time_at_length.append(0.0)
                 if risk_factor is not None and not req.done:
                     t_max = blind_budget(req, risk_factor)
                     if math.isfinite(t_max):
@@ -622,8 +667,7 @@ class _Simulation:
                     stale += 1
                     continue
                 i = queue_index[payload.slice_type - 1]
-                renege(i, payload, next(p for p, r in enumerate(queues[i], start=1)
-                                        if r is payload))
+                renege(i, payload, queues[i].index(payload) + 1)
                 continue
             else:
                 break
@@ -656,9 +700,15 @@ class _Simulation:
                         req.entry_queue_length, "accepted", wait, profit))
                 if trace is not None:
                     emit("accept", req.slice_type, req.request_id)
-            if reevaluate is not None:  # a lone acceptance's queue is the last i set
-                for i in ((i,) if len(accepted) == 1
-                          else {queue_index[req.slice_type - 1] for req in accepted}):
+            if reevaluate is not None:
+                # acceptances per queue, in queue order; a lone acceptance's
+                # queue is the last i set
+                served = ({i: 1} if len(accepted) == 1 else
+                          Counter(sorted(queue_index[req.slice_type - 1] for req in accepted)))
+                for i, a in served.items():
+                    if bounds is not None:  # everyone left moves up a places
+                        n = len(queues[i])
+                        bounds[i] = bounds[i] * n / (n + a) * SHIFT_SLACK if n else 0.0
                     reevaluate(i)
 
         for q in queues:
@@ -694,23 +744,32 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     head included, abandons after an individual Exp(alpha) patience. The
     occupancy dict is keyed by queue length. It is a loop of its own rather
     than a discipline of ``_Simulation``, which has none of these three
-    mechanisms and would have to branch on which caller it serves.
+    mechanisms and would have to branch on which caller it serves; its
+    arrivals come from the same ``arrival_windows``, and its heap holds only
+    service epochs and deadlines.
     """
     if not 0 < horizon < math.inf:
         raise InvalidInputError("horizon must be positive and finite")
     lam, mu = params.arrival_rate, params.service_rate
     alpha, beta = params.reneging_rate, params.balking_exponent
-    gaps = block_draws(substream(seed, 0, TAG_ARRIVAL).exponential, 1.0 / lam)
+    arrival_stream = chain.from_iterable(
+        arrival_windows([substream(seed, 0, TAG_ARRIVAL)], [1.0 / lam]))
     epochs = block_draws(substream(seed, 0, TAG_SERVICE).exponential, 1.0 / mu)
     coins = block_draws(substream(seed, 0, TAG_BALK).random)
     patience = (block_draws(substream(seed, 0, TAG_PATIENCE).exponential, 1.0 / alpha)
                 if alpha > 0 else None)
 
-    # one flat loop: the counters stay local until the run ends, and the
-    # occupancy is keyed by length in first-visit order
+    # one flat loop: the counters stay local until the run ends
     records: list = []
     acceptance_times: list[float] = []
-    occupancy: dict[int, float] = {}
+    # the join chance at each entry length, tabulated as lengths are first met
+    join_chance = [1.0]
+    # the time at each queue length, and the lengths in first-visit order; a
+    # length is first visited when the first positive span starts there, and
+    # the leading ``timed`` lengths have been
+    occupancy: list[float] = []
+    visits: list[int] = []
+    timed = 0
     arrivals = balks = reneges = stale = 0
     busy = issued_wait = 0.0
     queue: deque = deque()
@@ -718,30 +777,47 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     next_id = 1
     # a service epoch is live while its token is the latest one issued
     service_token = 0
-    seq = 1
-    heap: list = [(next(gaps), PRIO_ARRIVAL, seq, "arrival", None)]
+    seq = 0
+    heap: list = []
     push, pop = heapq.heappush, heapq.heappop
 
-    while heap:
-        now, _prio, _seq, kind, payload = pop(heap)
-        if now > horizon:
-            break
-        # every popped event adds its span, a stale one too
+    # as in ``_Simulation.run``, the earlier of the next arrival and the heap
+    # head comes first; at one time a service epoch, an arrival, a deadline
+    arrival = next(arrival_stream)
+    while True:
+        if not heap or heap[0] > arrival:
+            now, prio, _ = arrival
+            arrival = next(arrival_stream)
+        else:
+            now, prio, _seq, payload = pop(heap)
+        if now > horizon:  # the last span runs to the horizon
+            now, prio = horizon, None
+        # every event adds its span, a stale one too
         dt = now - last_t
         last_t = now
         if dt > 0:
             n = len(queue)
-            occupancy[n] = occupancy.get(n, 0.0) + dt
+            if n < timed:
+                occupancy[n] += dt
+            else:  # a zero span (a tie) can skip a length's first visit
+                if n >= len(occupancy):
+                    occupancy += [0.0] * (n + 1 - len(occupancy))
+                if not occupancy[n]:
+                    visits.append(n)
+                occupancy[n] += dt
+                while timed < len(occupancy) and occupancy[timed]:
+                    timed += 1
             if n:
                 busy += dt
-        if kind == "arrival":
-            seq += 1
-            push(heap, (now + next(gaps), PRIO_ARRIVAL, seq, "arrival", None))
+
+        if prio == PRIO_ARRIVAL:
             arrivals += 1
             rid = next_id
             next_id += 1
             entry_len = len(queue) + 1
-            if next(coins) > math.exp(-beta * entry_len / mu):
+            if entry_len == len(join_chance):
+                join_chance.append(math.exp(-beta * entry_len / mu))
+            if next(coins) > join_chance[entry_len]:
                 balks += 1
                 if collect_records:
                     records.append(RequestRecord(rid, 1, now, 1.0, entry_len, "balked", 0.0, None))
@@ -750,12 +826,12 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
             queue.append(entry)
             if patience is not None:
                 seq += 1
-                push(heap, (now + next(patience), PRIO_DEADLINE, seq, "deadline", entry))
+                push(heap, (now + next(patience), PRIO_DEADLINE, seq, entry))
             if entry_len == 1:
                 service_token += 1
                 seq += 1
-                push(heap, (now + next(epochs), PRIO_RELEASE, seq, "service", service_token))
-        elif kind == "service":
+                push(heap, (now + next(epochs), PRIO_RELEASE, seq, service_token))
+        elif prio == PRIO_RELEASE:  # a service epoch
             if payload != service_token or not queue:
                 stale += 1
                 continue
@@ -771,8 +847,8 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
             service_token += 1
             if queue:
                 seq += 1
-                push(heap, (now + next(epochs), PRIO_RELEASE, seq, "service", service_token))
-        else:  # deadline: an entry has at most one, so one not done still waits
+                push(heap, (now + next(epochs), PRIO_RELEASE, seq, service_token))
+        elif prio == PRIO_DEADLINE:  # an entry has at most one, so one not done still waits
             entry = payload
             if entry[2]:
                 stale += 1
@@ -783,19 +859,15 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
             if collect_records:
                 records.append(RequestRecord(
                     entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
+        else:
+            break
 
-    dt = horizon - last_t
-    if dt > 0:
-        n = len(queue)
-        occupancy[n] = occupancy.get(n, 0.0) + dt
-        if n:
-            busy += dt
     return RunMetrics(
         n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
         replication=0, arrivals=[arrivals], joined=[arrivals - balks], balks=[balks],
         cap_rejections=[0], reneges=[reneges], acceptances=[len(acceptance_times)],
         still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
-        occupancy={(n,): dt for n, dt in occupancy.items()}, busy_time=[busy],
+        occupancy={(n,): occupancy[n] for n in visits}, busy_time=[busy],
         queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
         issued_wait=issued_wait, stale_pops=stale,
     )

@@ -465,19 +465,26 @@ def test_isolated_conservation_and_determinism():
 
 @pytest.mark.parametrize("params", [(1.0, 1.0, 0.5, 0.3), (2.0, 1.5, 0.0, 0.2)])
 def test_isolated_pops_are_events_and_stale_pops(params, monkeypatch):
-    # every pop is an arrival, an acceptance, a renege or a stale event, and
-    # one more pops the first event past the horizon; a stale event dropped
-    # before its span is added, which no digest sees, leaves a pop uncounted.
-    # Only patience leaves stale events: the deadline of a request already
+    # arrivals never enter the heap, so every pop within the horizon is an
+    # acceptance, a renege or a stale event; a stale event dropped before
+    # its span is added, which no digest sees, leaves a pop uncounted. Only
+    # patience leaves stale events: the deadline of a request already
     # served, or the epoch of a queue that reneges emptied
-    pops = []
+    horizon = 2e3
+    popped = []
     heappop = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(None) or heappop(heap))
-    m = isolated_queue_sim(QueueParams(*params), horizon=2e3, seed=7, collect_records=False)
+
+    def counted(heap):
+        item = heappop(heap)
+        popped.append(item[0])
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", counted)
+    m = isolated_queue_sim(QueueParams(*params), horizon=horizon, seed=7, collect_records=False)
     monkeypatch.undo()
     assert (m.stale_pops > 0) == (params[2] > 0)
-    assert len(pops) == (sum(m.arrivals) + sum(m.acceptances) + sum(m.reneges)
-                         + m.stale_pops + 1)
+    assert sum(t <= horizon for t in popped) == \
+        sum(m.acceptances) + sum(m.reneges) + m.stale_pops
 
 
 def test_substreams_independent_of_extra_draws():
@@ -525,6 +532,35 @@ def test_expected_wait_vector_equals_loop_reference(renege_range, data):
     assert len(ew) == up_to + 1
     for k in range(up_to + 1):
         assert ew[k] == expected_wait(k, mu, omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_omega_bound_covers_every_later_prefix_sum(data):
+    # the full entrance screen balks on u*L/(mu + omega): omega must stay at
+    # least every prefix sum of the published renege rates while time passes,
+    # and be found again when the counts change, by a renege or by assignment
+    draw_lengths = st.lists(st.tuples(st.floats(0.001, 50.0), st.integers(0, 40)),
+                            max_size=30)
+    lengths = data.draw(draw_lengths)
+    # mostly occupied positions: one never occupied makes omega infinite
+    top = max((length for _, length in lengths), default=0) + data.draw(st.integers(0, 1))
+    positions = data.draw(st.lists(st.integers(1, max(top, 1)), max_size=60))
+    stats = _stats_with(lengths, positions)
+    gated = stats.renege_total < engine.MIN_SERVICE_OBSERVATIONS
+    assert (stats.omega_bound() == 0.0) if gated else stats.omega_bound() >= 0.0
+    for change in ("none", "renege", "assign"):
+        if change == "renege":
+            for pos in data.draw(st.lists(st.integers(1, max(top, 1)), min_size=1, max_size=5)):
+                stats.note_renege(pos)
+        elif change == "assign":
+            scale = data.draw(st.integers(2, 5))
+            stats.renege_counts = [c * scale for c in stats.renege_counts]
+        omega = stats.omega_bound()
+        for dt, length in data.draw(draw_lengths):
+            _elapse(stats, dt, length)
+        up_to = data.draw(st.integers(0, 50))
+        assert np.add.accumulate(stats.renege_rates(up_to)).max() <= omega
 
 
 def _records_sha256(m) -> str:
@@ -654,6 +690,9 @@ def test_whole_run_is_pinned(kind, queue_cap, digest):
      "bfdd5c111045d145a77967ce35ffb3b67ae5f47dc49fbcbd6c7c9ffed5db4e22"),
     ((0.7, 3.0, 1.0, 0.0), False,
      "dae34a5e0c1f1632ff6c9d74d4e0c7420963d42e8adcdaef7a5de1df0e6d4e8f"),
+    # heavy load: queues reach 55, so the join-chance table grows far
+    ((3.0, 1.0, 0.05, 0.01), True,
+     "182c632c31c92e1b2f18ad0963a3b124f8710f4d1b04aa704380496466307ffe"),
 ])
 def test_isolated_run_is_pinned(params, collect_records, digest):
     # the bench digest covers one parameter set and its records only; these
@@ -949,6 +988,32 @@ def test_value_columns_stay_in_step(kind, queue_cap):
     _assert_columns_in_step(sim)
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["serving_rate", "full"]), single=st.booleans(),
+       queue_cap=st.sampled_from([100, None]), seed=st.integers(0, 2**16))
+def test_bounds_shrunk_by_acceptances_cover_every_waiting_request(kind, single, queue_cap,
+                                                                  seed):
+    # an event that serves a requests from a queue's head and leaves n
+    # shrinks its critical-rate bound by n/(n + a) before the re-decision
+    # pass, which the shrunk bound may then skip: it must still cover every
+    # request left, at its new position
+    passes = []
+    reevaluate = engine._Simulation._reevaluate_queue
+
+    def checked(sim, i):
+        passes.append(len(sim.ctrl.queues[i]))
+        _assert_columns_in_step(sim)
+        reevaluate(sim, i)
+
+    cfg = SimConfig(horizon=60.0, master_seed=seed, queue_cap=queue_cap,
+                    knowledge=KnowledgeRegime(kind), initial_state="random_full")
+    strat = None if single else random_strategy(DEMO_REGION, substream(seed, 0, 999))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Simulation, "_reevaluate_queue", checked)
+        run_replication(DEMO, strat, cfg, 0, region=DEMO_REGION, single_queue=single)
+    assert max(passes) > 0
+
+
 @pytest.mark.parametrize("kind", ["patient", "blind", "position", "avg_wait",
                                   "serving_rate", "full", "greedy_single"])
 def test_finished_simulation_is_freed_without_the_cycle_collector(kind):
@@ -1077,7 +1142,8 @@ def test_filter_agrees_with_the_rules_a_few_ulps_from_mu(kind, gate_open):
 @given(data=st.data())
 def test_filtered_full_entrance_equals_expected_wait_formula(gate_open, data):
     # value - issue_cost placed within a few ulps of u*L/mu, of the filter's
-    # cuts on either side of it and of u*ew[L]
+    # cuts on either side of it, of u*ew[L] and of the balk screen's
+    # u*L/(mu + omega) and its cut
     single = data.draw(st.booleans())
     slice_type = 1 if single else data.draw(st.integers(1, 2))
     published = _draw_published_stats(data, gate_open)
@@ -1091,8 +1157,10 @@ def test_filtered_full_entrance_equals_expected_wait_formula(gate_open, data):
     issue_cost = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
     u = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
     wait_cost = u * length / mu
+    least_cost = u * length / (mu + stats.omega_bound())
     surplus = data.draw(st.sampled_from([wait_cost, wait_cost * engine.FILTER_SLACK,
-                                         wait_cost / engine.FILTER_SLACK, u * ew[length]]))
+                                         wait_cost / engine.FILTER_SLACK, u * ew[length],
+                                         least_cost, least_cost / engine.FILTER_SLACK]))
     lifetime = _nudge((surplus + issue_cost) / profit_rate, data.draw(st.integers(-4, 4)))
     assume(lifetime > 0)
     req = PendingRequest(request_id=1, slice_type=slice_type, enter_time=0.0,
