@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     except (DivergentQueueError, SeriesTruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InvalidInputError, SliceQError, FileNotFoundError) as exc:
+    except (SliceQError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

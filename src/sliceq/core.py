@@ -45,8 +45,6 @@ class SliceType:
     waiting_cost_rate: float = 1.0
     profit_rate: float = 1.0
     utility_rate: float | None = None
-    balking_exponent: float = 0.0
-    reneging_rate: float = 0.0
 
     def __post_init__(self):
         # each range is written so that NaN fails it too
@@ -64,8 +62,6 @@ class SliceType:
             raise InvalidInputError("costs must be finite and non-negative")
         if self.utility_rate is not None and not 0 <= self.utility_rate < math.inf:
             raise InvalidInputError("utility_rate must be finite and non-negative")
-        if not (0 <= self.balking_exponent < math.inf and 0 <= self.reneging_rate < math.inf):
-            raise InvalidInputError("impatience rates must be finite and non-negative")
 
     @property
     def mean_lifetime(self) -> float:
@@ -121,8 +117,6 @@ class Scenario:
                     "waiting_cost_rate": st.waiting_cost_rate,
                     "profit_rate": st.profit_rate,
                     "utility_rate": st.effective_utility_rate,
-                    "balking_exponent": st.balking_exponent,
-                    "reneging_rate": st.reneging_rate,
                 }
                 for st in self.slice_types
             ],
@@ -156,8 +150,6 @@ class Scenario:
                             if raw.get("utility_rate") is not None
                             else None
                         ),
-                        balking_exponent=float(raw.get("balking_exponent", 0.0)),
-                        reneging_rate=float(raw.get("reneging_rate", 0.0)),
                     )
                 )
         except KeyError as exc:
@@ -172,13 +164,8 @@ class Scenario:
 
 
 def demo_scenario() -> Scenario:
-    """Bundled two-type scenario used by the experiment presets.
-
-    Two complementary slice types on a normalized two-resource pool. The
-    impatience parameters are the exponential-model equivalents of rational
-    tenants with exponential lifetimes: beta = eta * u / zeta, and alpha set
-    to the same value.
-    """
+    """Bundled two-type scenario used by the experiment presets: two
+    complementary slice types on a normalized two-resource pool."""
     return Scenario(
         resources=(1.0, 1.0),
         slice_types=(
@@ -189,8 +176,6 @@ def demo_scenario() -> Scenario:
                 issue_cost=0.0,
                 waiting_cost_rate=1.0,
                 profit_rate=8.0,
-                balking_exponent=0.2 * 1.0 / 8.0,
-                reneging_rate=0.2 * 1.0 / 8.0,
             ),
             SliceType(
                 cost=(0.05, 0.01),
@@ -199,8 +184,6 @@ def demo_scenario() -> Scenario:
                 issue_cost=0.0,
                 waiting_cost_rate=1.5,
                 profit_rate=12.0,
-                balking_exponent=(1.0 / 3.0) * 1.5 / 12.0,
-                reneging_rate=(1.0 / 3.0) * 1.5 / 12.0,
             ),
         ),
     )

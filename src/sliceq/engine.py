@@ -244,15 +244,7 @@ class _QueueStats:
         self.time_at_length: list[float] = [0.0]
         self.renege_counts: list[int] = [0]
         self.renege_total = 0
-
-    @property
-    def renege_counts(self) -> list[int]:
-        return self._renege_counts
-
-    @renege_counts.setter
-    def renege_counts(self, counts: list[int]) -> None:
-        self._renege_counts = counts
-        self._omega_bound = None  # found again when next asked for
+        self._omega_bound = None  # found again after each renege
 
     def note_renege(self, position: int) -> None:
         while len(self.renege_counts) <= position:

@@ -170,15 +170,20 @@ def utility_metrics(acceptance_rates, release_rates, utility_rates) -> float:
 
 
 def empty_probs_from_analytics(scenario: Scenario, service_rates) -> np.ndarray:
-    """Queue-empty probabilities from the single-queue stationary model."""
+    """Queue-empty probabilities from the single-queue stationary model.
+
+    Each type takes beta = eta * u / zeta, so that exp(-beta * l / mu) is the
+    chance that an exponential lifetime's value zeta * L covers the waiting
+    cost u * l / mu; alpha takes the same value.
+    """
     out = []
     for st, mu in zip(scenario.slice_types, service_rates):
         if mu <= 0:
             out.append(0.0)
             continue
-        params = QueueParams(st.arrival_rate, mu, st.reneging_rate, st.balking_exponent)
-        if (st.reneging_rate == 0 and st.balking_exponent == 0
-                and params.workload >= 1):
+        rate = st.release_rate * st.waiting_cost_rate / st.profit_rate
+        params = QueueParams(st.arrival_rate, mu, rate, rate)
+        if rate == 0 and params.workload >= 1:
             out.append(0.0)
             continue
         out.append(float(impatient_pmf(params)[0]))

@@ -426,9 +426,10 @@ def test_preset_rejects_bad_scale(tmp_path, capsys):
 
 
 def _file_argv(tmp_path, text, *argv):
-    """``argv`` with "{path}" standing for a file that holds ``text``."""
+    """``argv`` with "{path}" standing for a file that holds ``text``, which
+    may be bytes."""
     path = tmp_path / "input"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     return tuple(str(path) if a == "{path}" else a for a in argv)
 
 
@@ -480,11 +481,21 @@ def _tiny_scenario_json(resources=None, **first_type):
     lambda tmp: ("search", "--scenario", "builtin:tiny", "--horizon", "nan",
                  "--n-strategies", "1"),
     lambda tmp: _tiny_simulate_argv(tmp, "--knowledge", "blind", "--risk-factor", "nan"),
+    lambda tmp: ("fit", "--input", str(tmp), "--column", "wait"),
+    lambda tmp: _file_argv(tmp, b"wait\n\xff\xfe\n", "fit", "--input", "{path}",
+                           "--column", "wait"),
+    lambda tmp: ("regions", "--scenario", str(tmp)),
+    lambda tmp: _tiny_simulate_argv(tmp, "--strategy", str(tmp)),
+    lambda tmp: _file_argv(tmp, "", *_tiny_simulate_argv(tmp), "--out", "{path}"),
+    lambda tmp: _file_argv(tmp, "", "preset", "regions", "--scenario", "builtin:tiny",
+                           "--out", "{path}"),
 ], ids=["fit-cell", "fit-nan-cell", "scenario-value", "scenario-nan-rate",
         "scenario-nan-utility", "scenario-not-object", "scenario-not-json", "empty-probs",
         "strategy-columns-not-list", "strategy-too-few-columns", "strategy-not-permutation",
         "naive-strategy-not-integers", "simulate-nan-horizon", "simulate-inf-horizon",
-        "search-nan-horizon", "nan-risk-factor"])
+        "search-nan-horizon", "nan-risk-factor", "fit-input-directory", "fit-input-binary",
+        "scenario-directory", "strategy-directory", "simulate-out-is-a-file",
+        "preset-out-is-a-file"])
 def test_malformed_outside_input_exits_as_invalid(tmp_path, capsys, make_argv):
     # each once ended in a traceback and exit 1, ran with a type never served,
     # never reached its horizon, or set no blind deadline

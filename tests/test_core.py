@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,8 +261,27 @@ def test_scenario_schema_keys(tmp_path):
     assert set(data["slice_types"][0]) == {
         "cost", "arrival_rate", "mean_lifetime", "issue_cost",
         "waiting_cost_rate", "profit_rate", "utility_rate",
-        "balking_exponent", "reneging_rate",
     }
+
+
+def test_scenario_ignores_the_dropped_impatience_keys(tmp_path):
+    # files written before alpha and beta were derived from each type carry
+    # them; they load, and the keys change neither the scenario nor its hash
+    data = demo_scenario().to_dict()
+    plain, old = tmp_path / "plain.json", tmp_path / "old.json"
+    _write_json(plain, data)
+    for raw in data["slice_types"]:
+        raw.update(balking_exponent=0.0417, reneging_rate=0.0417)
+    _write_json(old, data)
+    assert Scenario.load(old).to_dict() == Scenario.load(plain).to_dict()
+    assert Scenario.load(old).fingerprint() == Scenario.load(plain).fingerprint()
+
+
+def test_readme_scenario_example_is_the_demo():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Scenarios", 1)[1]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    assert Scenario.from_dict(json.loads(example)).fingerprint() == demo_scenario().fingerprint()
 
 
 def test_scenario_validation():
@@ -278,7 +298,7 @@ def test_scenario_validation():
     ok = dict(cost=(0.5,), arrival_rate=1.0, release_rate=1.0, profit_rate=1.0)
     for bad in (math.nan, math.inf):
         for key in ("arrival_rate", "release_rate", "profit_rate", "issue_cost",
-                    "waiting_cost_rate", "utility_rate", "balking_exponent", "reneging_rate"):
+                    "waiting_cost_rate", "utility_rate"):
             with pytest.raises(InvalidInputError):
                 SliceType(**{**ok, key: bad})
         with pytest.raises(InvalidInputError):

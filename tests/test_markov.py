@@ -31,6 +31,7 @@ from sliceq.markov import (
     strategy_search,
     utility_metrics,
 )
+from sliceq.queueing import QueueParams, impatient_pmf
 from sliceq.tenants import KnowledgeRegime
 
 from helpers import state_mean
@@ -240,14 +241,19 @@ def test_empty_probs_from_analytics():
     p0 = empty_probs_from_analytics(sc, [3.0, 5.0])
     assert len(p0) == 2
     assert all(0 <= p <= 1 for p in p0)
-    # saturated patient queue has no empty mass
-    p0 = empty_probs_from_analytics(
-        Scenario(resources=(1.0,),
-                 slice_types=(SliceType(cost=(0.5,), arrival_rate=2.0,
-                                        release_rate=1.0, profit_rate=1.0),)),
-        [1.0],
-    )
-    assert p0[0] == 0.0
+    # each type balks and reneges at eta * u / zeta: tiny's (0.5, 1, 4), (1, 1, 2)
+    tiny, mus = tiny_scenario(), [0.8, 3.0]
+    want = [impatient_pmf(QueueParams(t.arrival_rate, mu, rate, rate))[0]
+            for t, mu, rate in zip(tiny.slice_types, mus, [0.5 * 1.0 / 4.0, 1.0 * 1.0 / 2.0])]
+    assert list(empty_probs_from_analytics(tiny, mus)) == want
+    # with no waiting cost a tenant is patient: a queue at or above saturation
+    # has no empty mass, one below it is empty with probability 1 - rho
+    patient = Scenario(resources=(1.0,),
+                       slice_types=(SliceType(cost=(0.5,), arrival_rate=2.0, release_rate=1.0,
+                                              waiting_cost_rate=0.0, profit_rate=1.0),))
+    assert list(empty_probs_from_analytics(patient, [1.0])) == [0.0]
+    assert list(empty_probs_from_analytics(patient, [2.0])) == [0.0]
+    assert empty_probs_from_analytics(patient, [8.0])[0] == pytest.approx(1 - 2.0 / 8.0)
 
 
 def test_analytic_evaluation_runs_and_is_labelled():
