@@ -19,6 +19,7 @@ counterpart in the admission loop. Both loops take their arrivals from
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from collections import Counter, defaultdict, deque
@@ -311,40 +312,52 @@ class _QueueStats:
         return ew
 
 
+@dataclass(slots=True)
+class _Tenant:
+    """An arriving tenant as its entrance rule sees it; a run keeps one per type."""
+
+    slice_type: int
+    issue_cost: float
+    waiting_cost_rate: float
+    profit_rate: float
+    lifetime: float = 0.0
+
+
 # -- knowledge regimes --------------------------------------------------------
 # A run reads its regime once into two rules, plain functions so that a run is
-# no reference cycle. The entrance rule (req, stats, length) says whether an
-# arriving tenant joins at ``length``, itself included; the stay rule
-# (sim, i, mu) gives the predicate (req, position) -> stays for one
-# re-decision of queue ``i``. ``None`` means always join, or never re-decide.
+# no reference cycle. The entrance rule (tenant, stats, length) says whether an
+# arriving ``_Tenant``, not yet a request, joins at ``length``, itself
+# included; the stay rule (sim, i, mu) gives the predicate (req, position) ->
+# stays for one re-decision of queue ``i``. ``None`` means always join, or
+# never re-decide.
 # The rules call the ``tenants`` function whose arguments are what the
 # regime's tenant may see; full knowledge weighs the expected wait in place.
 
 
-def _joins_on_mean_wait(req, stats: _QueueStats, length: int) -> bool:
-    return renege_avg_wait(req, stats.mean_accepted_wait())
+def _joins_on_mean_wait(tenant, stats: _QueueStats, length: int) -> bool:
+    return renege_avg_wait(tenant, stats.mean_accepted_wait())
 
 
-def _joins_on_serving_rate(req, stats: _QueueStats, length: int) -> bool:
+def _joins_on_serving_rate(tenant, stats: _QueueStats, length: int) -> bool:
     mu = stats.service_rate()
-    return mu is None or balk_decision(req, length, mu)
+    return mu is None or balk_decision(tenant, length, mu)
 
 
-def _joins_on_expected_wait(req, stats: _QueueStats, length: int) -> bool:
+def _joins_on_expected_wait(tenant, stats: _QueueStats, length: int) -> bool:
     mu = stats.service_rate()
     if mu is None:
         return True
-    surplus = req.profit_rate * req.lifetime - req.issue_cost
+    surplus = tenant.profit_rate * tenant.lifetime - tenant.issue_cost
     if length <= MAX_FILTER_LENGTH:
         # length/(mu + omega) <= ew[length] <= length/mu up to rounding, and
         # omega is zero while the renege rates are gated
-        u = req.waiting_cost_rate
+        u = tenant.waiting_cost_rate
         if surplus >= u * length / mu * FILTER_SLACK:
             return True
         if surplus * FILTER_SLACK < u * length / (mu + stats.omega_bound()):
             return False
     ew = stats.expected_wait_vector(mu, length)
-    return surplus - req.waiting_cost_rate * ew[length] >= 0.0
+    return surplus - tenant.waiting_cost_rate * ew[length] >= 0.0
 
 
 def _stays_on_progress(sim, i: int, mu):
@@ -538,7 +551,8 @@ class _Simulation:
         return int(self.rng_init.integers(self.region.n_admissible, self.region.n_feasible))
 
     def run(self) -> RunMetrics:
-        """Run to the horizon in one flat loop.
+        """Run to the horizon in one flat loop. A run makes no reference cycle,
+        so the cyclic collector is paused for it and then restored as found.
 
         Every name the loop calls is bound once here, so wrappers installed
         before the run (the benchmark's tracer) see the calls. Arrivals come
@@ -550,8 +564,9 @@ class _Simulation:
         ctrl, strategy, metrics, trace = self.ctrl, self.strategy, self.metrics, self.trace
         queues, queue_index, stats = ctrl.queues, self.queue_index, self.stats
         queue_stats = list(zip(queues, stats))
-        slice_types, arrival_stream, lifetimes = (
-            self.scenario.slice_types, self.arrival_stream, self.lifetimes)
+        arrival_stream, lifetimes = self.arrival_stream, self.lifetimes
+        tenants = [_Tenant(t + 1, st.issue_cost, st.waiting_cost_rate, st.profit_rate)
+                   for t, st in enumerate(self.scenario.slice_types)]
         push, pop = heapq.heappush, heapq.heappop
         request, release, profit_of, blind_budget = on_request, on_release, end_profit, renege_blind
         joins, cap = self.entrance_rule, self.config.queue_cap
@@ -571,150 +586,165 @@ class _Simulation:
         occupancy: dict[int, float] = defaultdict(float)
         visited: set[int] = set()
 
-        ctrl.state_index = self._draw_initial_state()
-        heap: list = []
-        seq = 0
-        for t, count in enumerate(ctrl.state):
-            for _ in range(count):
-                seq += 1
-                push(heap, (next(lifetimes[t]), PRIO_RELEASE, seq, t + 1))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            ctrl.state_index = self._draw_initial_state()
+            heap: list = []
+            seq = 0
+            for t, count in enumerate(ctrl.state):
+                for _ in range(count):
+                    seq += 1
+                    push(heap, (next(lifetimes[t]), PRIO_RELEASE, seq, t + 1))
 
-        last_t = 0.0
-        next_id = 1
-        stale = 0
-        # arrivals never run out; the heap holds none, so no entry equals one
-        arrival = next(arrival_stream)
-        while True:
-            if not heap or heap[0] > arrival:
-                now, prio, payload = arrival
-                arrival = next(arrival_stream)
-            else:
-                now, prio, _seq, payload = pop(heap)
-            if now > horizon:  # the last span runs to the horizon
-                now, prio = horizon, None
-            # every event adds its span, a stale one too: the busy time, for
-            # full tenants the time at each queue length (both feed the
-            # published estimators and span the whole horizon; a join gives
-            # a new length its slot), and the occupancy after the warmup
-            dt = now - last_t
-            if dt > 0:
-                for q, s in queue_stats:
-                    if q:
-                        s.busy_time += dt
-                    if lengths_timed:
-                        s.time_at_length[len(q)] += dt
-                index = ctrl.state_index
-                if last_t < warmup:
-                    visited.add(index)
-                    dt = now - warmup
+            last_t = 0.0
+            next_id = 1
+            stale = 0
+            # arrivals never run out; the heap holds none, so no entry equals one
+            arrival = next(arrival_stream)
+            while True:
+                if not heap or heap[0] > arrival:
+                    now, prio, payload = arrival
+                    arrival = next(arrival_stream)
+                else:
+                    now, prio, _seq, payload = pop(heap)
+                if now > horizon:  # the last span runs to the horizon
+                    now, prio = horizon, None
+                # every event adds its span, a stale one too: the busy time, for
+                # full tenants the time at each queue length (both feed the
+                # published estimators and span the whole horizon; a join gives
+                # a new length its slot), and the occupancy after the warmup
+                dt = now - last_t
                 if dt > 0:
-                    occupancy[index] += dt
-            last_t = self.now = now
+                    for q, s in queue_stats:
+                        if q:
+                            s.busy_time += dt
+                        if lengths_timed:
+                            s.time_at_length[len(q)] += dt
+                    index = ctrl.state_index
+                    if last_t < warmup:
+                        visited.add(index)
+                        dt = now - warmup
+                    if dt > 0:
+                        occupancy[index] += dt
+                last_t = self.now = now
 
-            if prio == PRIO_ARRIVAL:
-                t = payload
-                st = slice_types[t]
-                req = PendingRequest(next_id, t + 1, now, next(lifetimes[t]),
-                                     st.issue_cost, st.waiting_cost_rate, st.profit_rate)
-                next_id += 1
-                arrivals[t] += 1
-                if trace is not None:
-                    emit("request", t + 1, req.request_id)
-                # the tenant's balking rule, then the cap, decide who joins
-                i = queue_index[t]
-                length = len(queues[i])
-                if joins is not None and not joins(req, stats[i], length + 1):
-                    balks[t] += 1
-                    record(req, "balked", 0.0, None)
+                if prio == PRIO_ARRIVAL:
+                    t = payload
+                    tenant = tenants[t]
+                    tenant.lifetime = lifetime = next(lifetimes[t])
+                    if lifetime <= 0:
+                        raise InvalidInputError("lifetime must be positive")
+                    request_id = next_id
+                    next_id += 1
+                    arrivals[t] += 1
                     if trace is not None:
-                        emit("balk", t + 1, req.request_id)
-                    continue
-                if cap is not None and length >= cap:
-                    cap_rejections[t] += 1
-                    record(req, "cap_rejected", 0.0, None)
+                        emit("request", t + 1, request_id)
+                    # the tenant's balking rule, then the cap, decide who joins;
+                    # only a tenant that joins becomes a request
+                    i = queue_index[t]
+                    length = len(queues[i])
+                    if joins is not None and not joins(tenant, stats[i], length + 1):
+                        balks[t] += 1
+                        if collect:
+                            records.append(RequestRecord(request_id, t + 1, now, lifetime, 0,
+                                                         "balked", 0.0, None))
+                        if trace is not None:
+                            emit("balk", t + 1, request_id)
+                        continue
+                    if cap is not None and length >= cap:
+                        cap_rejections[t] += 1
+                        if collect:
+                            records.append(RequestRecord(request_id, t + 1, now, lifetime, 0,
+                                                         "cap_rejected", 0.0, None))
+                        if trace is not None:
+                            emit("cap_reject", t + 1, request_id)
+                        continue
+                    if bounds is not None:  # it joins at the tail; acceptances move it up
+                        bounds[i] = max(bounds[i], bound_of(length + 1, tenant.waiting_cost_rate,
+                                                            tenant.profit_rate * lifetime))
+                    req = PendingRequest(request_id, t + 1, now, lifetime, tenant.issue_cost,
+                                         tenant.waiting_cost_rate, tenant.profit_rate)
+                    accepted = request(ctrl, strategy, req)
+                    joined[t] += 1
+                    # a new length (one at most) gets a slot
+                    if lengths_timed and len(stats[i].time_at_length) == len(queues[i]):
+                        stats[i].time_at_length.append(0.0)
+                    if risk_factor is not None and not req.done:
+                        t_max = blind_budget(req, risk_factor)
+                        if math.isfinite(t_max):
+                            seq += 1
+                            push(heap, (now + t_max, PRIO_DEADLINE, seq, req))
+                elif prio == PRIO_RELEASE:
                     if trace is not None:
-                        emit("cap_reject", t + 1, req.request_id)
+                        emit("release", payload, None)
+                    accepted = release(ctrl, strategy, payload)
+                elif prio == PRIO_DEADLINE:
+                    # a request has at most one deadline, and one that is not done
+                    # still waits in its queue; blind tenants never re-decide
+                    if payload.done:
+                        stale += 1
+                        continue
+                    i = queue_index[payload.slice_type - 1]
+                    renege(i, payload, queues[i].index(payload) + 1)
                     continue
-                if bounds is not None:  # it joins at the tail; acceptances move it up
-                    bounds[i] = max(bounds[i], bound_of(length + 1, req.waiting_cost_rate,
-                                                        req.profit_rate * req.lifetime))
-                accepted = request(ctrl, strategy, req)
-                joined[t] += 1
-                # a new length (one at most) gets a slot
-                if lengths_timed and len(stats[i].time_at_length) == len(queues[i]):
-                    stats[i].time_at_length.append(0.0)
-                if risk_factor is not None and not req.done:
-                    t_max = blind_budget(req, risk_factor)
-                    if math.isfinite(t_max):
-                        seq += 1
-                        push(heap, (now + t_max, PRIO_DEADLINE, seq, req))
-            elif prio == PRIO_RELEASE:
-                if trace is not None:
-                    emit("release", payload, None)
-                accepted = release(ctrl, strategy, payload)
-            elif prio == PRIO_DEADLINE:
-                # a request has at most one deadline, and one that is not done
-                # still waits in its queue; blind tenants never re-decide
-                if payload.done:
-                    stale += 1
+                else:
+                    break
+
+                if not accepted:
                     continue
-                i = queue_index[payload.slice_type - 1]
-                renege(i, payload, queues[i].index(payload) + 1)
-                continue
-            else:
-                break
+                for req in accepted:
+                    t = req.slice_type - 1
+                    wait = now - req.enter_time
+                    acceptances[t] += 1
+                    seq += 1
+                    push(heap, (now + req.lifetime, PRIO_RELEASE, seq, req.slice_type))
+                    i = queue_index[t]
+                    s = stats[i]
+                    s.accept_count += 1
+                    s.accept_wait_sum += wait
+                    if wait > 0:
+                        s.queued_accepts += 1
+                    if stamps is not None:
+                        stamps[i].append(next_id)
+                    if now >= warmup:
+                        acceptance_times[t].append(now)
+                    profit = profit_of(req, True, wait)
+                    profit_by_type[t] += profit
+                    profiting[t] += profit > 0
+                    metrics.issued_wait += wait
+                    if collect:
+                        records.append(RequestRecord(
+                            req.request_id, req.slice_type, req.enter_time, req.lifetime,
+                            req.entry_queue_length, "accepted", wait, profit))
+                    if trace is not None:
+                        emit("accept", req.slice_type, req.request_id)
+                if reevaluate is not None:
+                    # acceptances per queue, in queue order; a lone acceptance's
+                    # queue is the last i set
+                    served = ({i: 1} if len(accepted) == 1 else
+                              Counter(sorted(queue_index[req.slice_type - 1] for req in accepted)))
+                    for i, a in served.items():
+                        if bounds is not None:  # everyone left moves up a places
+                            n = len(queues[i])
+                            bounds[i] = bounds[i] * n / (n + a) * SHIFT_SLACK if n else 0.0
+                        reevaluate(i)
 
-            if not accepted:
-                continue
-            for req in accepted:
-                t = req.slice_type - 1
-                wait = now - req.enter_time
-                acceptances[t] += 1
-                seq += 1
-                push(heap, (now + req.lifetime, PRIO_RELEASE, seq, req.slice_type))
-                i = queue_index[t]
-                s = stats[i]
-                s.accept_count += 1
-                s.accept_wait_sum += wait
-                if wait > 0:
-                    s.queued_accepts += 1
-                if stamps is not None:
-                    stamps[i].append(next_id)
-                if now >= warmup:
-                    acceptance_times[t].append(now)
-                profit = profit_of(req, True, wait)
-                profit_by_type[t] += profit
-                profiting[t] += profit > 0
-                metrics.issued_wait += wait
-                if collect:
-                    records.append(RequestRecord(
-                        req.request_id, req.slice_type, req.enter_time, req.lifetime,
-                        req.entry_queue_length, "accepted", wait, profit))
-                if trace is not None:
-                    emit("accept", req.slice_type, req.request_id)
-            if reevaluate is not None:
-                # acceptances per queue, in queue order; a lone acceptance's
-                # queue is the last i set
-                served = ({i: 1} if len(accepted) == 1 else
-                          Counter(sorted(queue_index[req.slice_type - 1] for req in accepted)))
-                for i, a in served.items():
-                    if bounds is not None:  # everyone left moves up a places
-                        n = len(queues[i])
-                        bounds[i] = bounds[i] * n / (n + a) * SHIFT_SLACK if n else 0.0
-                    reevaluate(i)
-
-        for q in queues:
-            for req in q:
-                metrics.still_waiting[req.slice_type - 1] += 1
-                record(req, "waiting", horizon - req.enter_time, None)
-        metrics.stale_pops = stale
-        metrics.busy_time = [s.busy_time for s in stats]
-        metrics.queued_accepts = [s.queued_accepts for s in stats]
-        feasible = self.region.feasible
-        metrics.occupancy = {feasible[i]: dt for i, dt in occupancy.items()}
-        metrics.max_assigned = self.region.loads[list(visited | occupancy.keys())].max(
-            axis=0, initial=0.0).tolist()
-        return metrics
+            for q in queues:
+                for req in q:
+                    metrics.still_waiting[req.slice_type - 1] += 1
+                    record(req, "waiting", horizon - req.enter_time, None)
+            metrics.stale_pops = stale
+            metrics.busy_time = [s.busy_time for s in stats]
+            metrics.queued_accepts = [s.queued_accepts for s in stats]
+            feasible = self.region.feasible
+            metrics.occupancy = {feasible[i]: dt for i, dt in occupancy.items()}
+            metrics.max_assigned = self.region.loads[list(visited | occupancy.keys())].max(
+                axis=0, initial=0.0).tolist()
+            return metrics
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def run_replication(scenario: Scenario, strategy: Strategy | None,

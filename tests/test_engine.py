@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import heapq
+import itertools
 import math
 import weakref
 
@@ -1029,6 +1030,121 @@ def test_finished_simulation_is_freed_without_the_cycle_collector(kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+REGIMES = ["patient", "blind", "position", "avg_wait", "serving_rate", "full"]
+# one resource that holds one slice and not two
+_ONE_FITS = Scenario(resources=(1.0,), slice_types=(SliceType(
+    cost=(0.6,), arrival_rate=2.0, release_rate=1.0, issue_cost=1.0),))
+
+
+def _regime_simulation(kind, single, trace=None):
+    """A capped demo run under ``kind`` whose queues fill: arrivals join,
+    balk (in the regimes with an entrance rule) and meet the cap."""
+    cfg = SimConfig(horizon=60.0, master_seed=4, queue_cap=10, initial_state="random_full",
+                    knowledge=KnowledgeRegime(kind, risk_factor=0.5))
+    return engine._Simulation(DEMO, None if single else naive_strategy(DEMO_REGION, [2, 1, 0]),
+                              cfg, 0, region=DEMO_REGION, single_queue=single, trace=trace)
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("kind", REGIMES)
+def test_only_tenants_that_join_become_requests(kind, single, monkeypatch):
+    made = []
+
+    class CountedRequest(PendingRequest):
+        __slots__ = ()
+
+        def __post_init__(self):
+            made.append(self.request_id)
+            PendingRequest.__post_init__(self)
+
+    monkeypatch.setattr(engine, "PendingRequest", CountedRequest)
+    m = _regime_simulation(kind, single).run()
+    assert sum(m.cap_rejections) > 0
+    assert len(made) == sum(m.joined) < sum(m.arrivals)
+
+
+@pytest.mark.parametrize("kind, queue_cap, disposition", [
+    ("patient", 1, "cap_rejected"), ("avg_wait", None, "balked"), ("patient", None, "accepted")])
+def test_every_arrival_checks_its_lifetime(kind, queue_cap, disposition):
+    # a refused arrival builds no request, yet its lifetime is refused as a
+    # request's is; a tiny positive lifetime shows where each arrival goes
+    scenario, region = _ONE_FITS, enumerate_regions(_ONE_FITS)
+
+    def run(lifetime):
+        cfg = SimConfig(horizon=5.0, queue_cap=queue_cap, knowledge=KnowledgeRegime(kind))
+        sim = engine._Simulation(scenario, naive_strategy(region, [1, 0]), cfg, 0,
+                                 region=region)
+        sim.lifetimes = [itertools.repeat(lifetime)]
+        if queue_cap is not None:  # a request waits; nothing serves it before a join
+            sim.ctrl.queues[0].append(PendingRequest(0, 1, 0.0, 1.0, 0.0, 1.0, 1.0))
+        return sim.run()
+
+    assert next(r for r in run(1e-9).records if r.request_id == 1).disposition == disposition
+    with pytest.raises(InvalidInputError, match="lifetime"):
+        run(0.0)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("kind", REGIMES)
+def test_a_run_leaves_no_cyclic_garbage(kind, single, traced):
+    # the collector is paused for a run, so anything the run left in a
+    # reference cycle would only be found by the next collection
+    events = []
+    gc.collect()
+    _regime_simulation(kind, single, trace=events.append if traced else None).run()
+    assert gc.collect() == 0
+    assert bool(events) == traced
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_leaves_the_collector_as_it_found_it(enabled, raises):
+    paused = []
+
+    def check(event):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise RuntimeError("trace failed")
+
+    sim = _regime_simulation("full", False, trace=check)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="trace failed"):
+                sim.run()
+        else:
+            sim.run()
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert paused and all(paused)
+
+
+def test_an_arrival_served_past_keeps_its_bound():
+    # the mixed queue holds a head that fits and, behind it, a request that
+    # does not once the head is in: the first arrival joins third and moves
+    # to second as the head is served. Its critical rate must be in the
+    # bound before that shrink, at the position it joined at
+    events = []
+
+    def check(event):
+        events.append((event["kind"], event["request_id"]))
+        for pos, req in enumerate(queue, start=1):
+            assert sim.bounds[0] >= critical_rate(pos, req.waiting_cost_rate,
+                                                  req.profit_rate * req.lifetime), event
+
+    cfg = SimConfig(horizon=20.0, queue_cap=None, knowledge=KnowledgeRegime("serving_rate"))
+    sim = engine._Simulation(_ONE_FITS, None, cfg, 0, single_queue=True, trace=check)
+    queue = sim.ctrl.queues[0]
+    for k in (-1, 0):  # worth so much that an arrival's rate dominates the bound
+        queue.append(PendingRequest(k, 1, 0.0, 1e3, 0.0, 1.0, 8.0, entry_queue_length=k + 2))
+    sim.bounds[0] = max(critical_rate(pos, req.waiting_cost_rate, req.profit_rate * req.lifetime)
+                        for pos, req in enumerate(queue, start=1))
+    sim.run()
+    assert events[:2] == [("request", 1), ("accept", -1)] and events[2][0] != "accept"
 
 
 def _nudge(x: float, ulps: int) -> float:
