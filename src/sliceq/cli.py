@@ -258,7 +258,7 @@ def cmd_preset(args) -> int:
         args.name, scenario, args.out, args.scale, args.seed,
         force=args.force, progress=progress,
     )
-    print(json.dumps(summary, indent=2, default=str))
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refused before any output is made; the engine refuses it too
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidInputError(f"--seed must be non-negative, not {args.seed}")
         return args.func(args)
     except (DivergentQueueError, SeriesTruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -274,11 +274,7 @@ def enumerate_regions(scenario: Scenario) -> RegionIndex:
     def feasible(vec) -> bool:
         return bool(np.all(r - costs @ np.asarray(vec, dtype=float) >= -FEASIBILITY_SLACK))
 
-    zero = (0,) * n
-    if not feasible(zero):
-        # Cannot happen with non-negative capacities, kept as a guard.
-        raise InvalidInputError("empty state is infeasible")
-
+    zero = (0,) * n  # feasible: capacities are non-negative
     seen = {zero}
     stack = [zero]
     while stack:
@@ -337,11 +333,9 @@ class Strategy:
     columns: tuple[tuple[int, ...], ...]
     scenario_fingerprint: str
 
-    def check_scenario(self, scenario: Scenario) -> None:
-        if scenario.fingerprint() != self.scenario_fingerprint:
-            raise StrategyMismatchError(
-                "strategy was generated for a different scenario"
-            )
+    def check_fingerprint(self, fingerprint: str) -> None:
+        if fingerprint != self.scenario_fingerprint:
+            raise StrategyMismatchError("strategy was generated for a different scenario")
 
     @classmethod
     def load(cls, path, region: RegionIndex) -> "Strategy":
@@ -357,8 +351,7 @@ class Strategy:
             raise InvalidInputError(f"strategy file is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"strategy file has a malformed value: {exc}") from exc
-        if strat.scenario_fingerprint != region.scenario_fingerprint:
-            raise StrategyMismatchError("strategy was generated for a different scenario")
+        strat.check_fingerprint(region.scenario_fingerprint)
         if len(strat.columns) != region.n_admissible:
             raise InvalidInputError(f"strategy has {len(strat.columns)} columns, "
                                     f"the scenario {region.n_admissible} admissible states")

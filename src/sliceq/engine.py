@@ -84,6 +84,8 @@ SHIFT_SLACK = 1.0 + 2.0**-49
 
 def substream(master_seed: int, replication: int, tag: int) -> np.random.Generator:
     """Counter-based generator for one (replication, purpose) pair."""
+    if master_seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, not {master_seed}")
     seq = np.random.SeedSequence((int(master_seed), int(replication), int(tag)))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -163,13 +165,15 @@ class RunMetrics:
     """Everything measured in one replication.
 
     ``occupancy`` maps active-slice vectors to total time spent there (queue
-    lengths for the isolated single-queue simulator). Steady-state style
-    accumulators (occupancy, busy time, acceptance timestamps) start after
-    the warmup boundary. A request issued (accepted or reneged) adds its end
-    profit to ``profit``, counts in ``profiting`` when that is positive and
-    adds its wait to ``issued_wait``; ``records`` is an output only.
-    ``stale_pops`` counts the events the loop popped that found nothing to
-    do: superseded service epochs and deadlines of requests already done.
+    lengths for the isolated single-queue simulator). It and the acceptance
+    timestamps start at the warmup boundary, so the occupancy covers
+    horizon - warmup_time, which ``SimConfig`` keeps positive. A request
+    issued (accepted or reneged) adds its end profit to ``profit``, counts in
+    ``profiting`` when that is positive and adds its wait to ``issued_wait``;
+    ``records`` is an output only. ``joined`` is derived: every arrival
+    balks, is cap-rejected or joins. ``stale_pops`` counts the events the
+    loop popped that found nothing to do: superseded service epochs and
+    deadlines of requests already done.
     """
 
     n_types: int
@@ -178,7 +182,6 @@ class RunMetrics:
     master_seed: int
     replication: int
     arrivals: list[int]
-    joined: list[int]
     balks: list[int]
     cap_rejections: list[int]
     reneges: list[int]
@@ -196,35 +199,27 @@ class RunMetrics:
     stale_pops: int
 
     @property
+    def joined(self) -> list[int]:
+        return [a - b - c for a, b, c in zip(self.arrivals, self.balks, self.cap_rejections)]
+
+    @property
     def n_issued(self) -> list[int]:
         return [a + r for a, r in zip(self.acceptances, self.reneges)]
 
-    @property
-    def measured_span(self) -> float:
-        return self.horizon - self.warmup_time
-
     def conservation_ok(self) -> bool:
-        return all(
-            self.arrivals[t]
-            == self.balks[t] + self.cap_rejections[t] + self.reneges[t]
-            + self.acceptances[t] + self.still_waiting[t]
-            for t in range(self.n_types)
-        )
+        # every request that joined was issued or still waits
+        return self.joined == [i + w for i, w in zip(self.n_issued, self.still_waiting)]
 
     def utility_time_average(self, utility_rates) -> float:
         u = np.asarray(utility_rates, dtype=float)
         total = sum(self.occupancy.values())
-        if total <= 0:
-            return 0.0
         acc = 0.0
         for state, dt in self.occupancy.items():
             acc += dt * float(np.dot(u, state))
         return acc / total
 
     def measured_acceptance_rates(self) -> np.ndarray:
-        span = self.measured_span
-        if span <= 0:
-            return np.zeros(self.n_types)
+        span = self.horizon - self.warmup_time
         return np.array([len(ts) / span for ts in self.acceptance_times])
 
     def inter_acceptance_times(self, slice_type: int) -> np.ndarray:
@@ -403,10 +398,12 @@ class _Simulation:
         self.config = config
         self.trace = trace
         self.region = region if region is not None else enumerate_regions(scenario)
+        if self.region.scenario_fingerprint != scenario.fingerprint():
+            raise InvalidInputError("region was enumerated for a different scenario")
         if not single_queue:
             if strategy is None:
                 raise InvalidInputError("multi-queue simulation needs a strategy")
-            strategy.check_scenario(scenario)
+            strategy.check_fingerprint(scenario.fingerprint())
         self.strategy = None if single_queue else strategy
 
         n = scenario.n_types
@@ -446,7 +443,7 @@ class _Simulation:
         self.metrics = RunMetrics(
             n_types=n, horizon=config.horizon, warmup_time=self.warmup_time,
             master_seed=seed, replication=replication,
-            arrivals=[0] * n, joined=[0] * n, balks=[0] * n,
+            arrivals=[0] * n, balks=[0] * n,
             cap_rejections=[0] * n, reneges=[0] * n, acceptances=[0] * n,
             still_waiting=[0] * n,
             acceptance_times=[[] for _ in range(n)],
@@ -575,9 +572,8 @@ class _Simulation:
         renege, record, emit = self._renege, self._record, self._emit
         lengths_timed, risk_factor, stamps = self.reneges_published, self.risk_factor, self.stamps
         collect, records = self.config.collect_records, metrics.records
-        arrivals, joined, balks, cap_rejections, acceptances = (
-            metrics.arrivals, metrics.joined, metrics.balks, metrics.cap_rejections,
-            metrics.acceptances)
+        arrivals, balks, cap_rejections, acceptances = (
+            metrics.arrivals, metrics.balks, metrics.cap_rejections, metrics.acceptances)
         acceptance_times, profit_by_type, profiting = (
             metrics.acceptance_times, metrics.profit, metrics.profiting)
         horizon, warmup = self.config.horizon, self.warmup_time
@@ -666,7 +662,6 @@ class _Simulation:
                     req = PendingRequest(request_id, t + 1, now, lifetime, tenant.issue_cost,
                                          tenant.waiting_cost_rate, tenant.profit_rate)
                     accepted = request(ctrl, strategy, req)
-                    joined[t] += 1
                     # a new length (one at most) gets a slot
                     if lengths_timed and len(stats[i].time_at_length) == len(queues[i]):
                         stats[i].time_at_length.append(0.0)
@@ -886,7 +881,7 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
 
     return RunMetrics(
         n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
-        replication=0, arrivals=[arrivals], joined=[arrivals - balks], balks=[balks],
+        replication=0, arrivals=[arrivals], balks=[balks],
         cap_rejections=[0], reneges=[reneges], acceptances=[len(acceptance_times)],
         still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
         occupancy={(n,): occupancy[n] for n in visits}, busy_time=[busy],

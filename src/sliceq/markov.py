@@ -40,6 +40,7 @@ def build_transition_matrix(strategy: Strategy, region: RegionIndex,
     finds its queue non-empty moves along its slice increment. Mass left at
     the reserve element or at the end of the column stays put.
     """
+    strategy.check_fingerprint(region.scenario_fingerprint)
     p0 = np.asarray(empty_probs, dtype=float)
     if ((p0 < 0) | (p0 > 1)).any():
         raise InvalidInputError("queue-empty probabilities must lie in [0, 1]")
@@ -286,6 +287,11 @@ def _simulate_strategy(scenario, strategy, region, config) -> tuple[float, ...]:
                  for k in ("u_sigma", "mean_wait_joined", "admission_rate"))
 
 
+def prefer2_order(n_types: int) -> list[int]:
+    """Type 2 first, then the other types in order, then the reserve."""
+    return ([2, 1] if n_types >= 2 else [1]) + list(range(3, n_types + 1)) + [0]
+
+
 def strategy_search(scenario: Scenario, region: RegionIndex,
                     n_strategies: int, config: SimConfig,
                     objective: str = "utility",
@@ -328,13 +334,10 @@ def strategy_search(scenario: Scenario, region: RegionIndex,
                           for i in range(n_strategies))
 
     if include_benchmarks:
-        if n_types >= 2:
-            order1 = list(range(1, n_types + 1)) + [0]
-            order2 = [2, 1] + list(range(3, n_types + 1)) + [0]
-            candidates.append(("prefer1", "prefer1", naive_strategy(region, order1)))
-            candidates.append(("prefer2", "prefer2", naive_strategy(region, order2)))
-        else:
-            candidates.append(("prefer1", "prefer1", naive_strategy(region, [1, 0])))
+        order1 = list(range(1, n_types + 1)) + [0]
+        candidates.append(("prefer1", "prefer1", naive_strategy(region, order1)))
+        if n_types >= 2:  # on one type it is prefer1
+            candidates.append(("prefer2", "prefer2", naive_strategy(region, prefer2_order(n_types))))
         # the greedy baseline has no strategy and is always simulated
         candidates.append(("greedy_single", "greedy_single", None))
 

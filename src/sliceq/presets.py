@@ -26,7 +26,7 @@ from .fitting import (
     floor_binned,
     profit_summary,
 )
-from .markov import SEARCH_CSV_HEADER, strategy_search
+from .markov import SEARCH_CSV_HEADER, prefer2_order, strategy_search
 from .tenants import KnowledgeRegime
 
 TABLE3_REGIMES = (
@@ -81,7 +81,7 @@ class OutputDir:
     def write_json(self, name: str, payload) -> Path:
         out = self.path / name
         with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, default=_jsonable)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
         self.manifest["outputs"].append(name)
         return out
@@ -90,14 +90,6 @@ class OutputDir:
         with open(self.path / "manifest.json", "w") as fh:
             json.dump(self.manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
@@ -236,13 +228,9 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
     n_strat = len(random_strategies)
     regime = KnowledgeRegime("full")
 
-    if scenario.n_types >= 2:
-        fixed_order = [2, 1] + list(range(3, scenario.n_types + 1)) + [0]
-    else:
-        fixed_order = [1, 0]
     campaigns = {
         "random": random_strategies,
-        "prefer2": [naive_strategy(region, fixed_order)] * n_strat,
+        "prefer2": [naive_strategy(region, prefer2_order(scenario.n_types))] * n_strat,
     }
 
     fit_rows = []

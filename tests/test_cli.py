@@ -489,13 +489,25 @@ def _tiny_scenario_json(resources=None, **first_type):
     lambda tmp: _file_argv(tmp, "", *_tiny_simulate_argv(tmp), "--out", "{path}"),
     lambda tmp: _file_argv(tmp, "", "preset", "regions", "--scenario", "builtin:tiny",
                            "--out", "{path}"),
+    lambda tmp: ("search", "--scenario", "builtin:tiny", "--seed", "-1", "--n-strategies", "1",
+                 "--horizon", "5"),
+    lambda tmp: ("markov", "--scenario", "builtin:tiny", "--seed", "-1"),
+    lambda tmp: ("markov", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
+                 "--empty-probs", "0.5,0.5", "--seed", "-1"),
+    lambda tmp: _tiny_simulate_argv(tmp, "--seed", "-3"),
+    lambda tmp: ("preset", "fig4_iat", "--scenario", "builtin:tiny", "--scale", "0.002",
+                 "--seed", "-1", "--out", str(tmp / "run")),
+    lambda tmp: ("preset", "regions", "--scenario", "builtin:tiny", "--seed", "-2",
+                 "--out", str(tmp / "run")),
 ], ids=["fit-cell", "fit-nan-cell", "scenario-value", "scenario-nan-rate",
         "scenario-nan-utility", "scenario-not-object", "scenario-not-json", "empty-probs",
         "strategy-columns-not-list", "strategy-too-few-columns", "strategy-not-permutation",
         "naive-strategy-not-integers", "simulate-nan-horizon", "simulate-inf-horizon",
         "search-nan-horizon", "nan-risk-factor", "fit-input-directory", "fit-input-binary",
         "scenario-directory", "strategy-directory", "simulate-out-is-a-file",
-        "preset-out-is-a-file"])
+        "preset-out-is-a-file", "search-negative-seed", "markov-negative-seed",
+        "markov-negative-seed-drawing-nothing", "simulate-negative-seed",
+        "preset-negative-seed", "preset-negative-seed-drawing-nothing"])
 def test_malformed_outside_input_exits_as_invalid(tmp_path, capsys, make_argv):
     # each once ended in a traceback and exit 1, ran with a type never served,
     # never reached its horizon, or set no blind deadline

@@ -23,7 +23,7 @@ from sliceq.core import (
     random_strategy,
     tiny_scenario,
 )
-from sliceq import engine
+from sliceq import engine, markov
 from sliceq.engine import (
     TAG_ARRIVAL,
     TAG_BALK,
@@ -37,8 +37,10 @@ from sliceq.engine import (
     summarize_run,
 )
 from sliceq.errors import InvalidInputError
+from sliceq.presets import TABLE3_REGIMES
 from sliceq.queueing import QueueParams, impatient_pmf
 from sliceq.tenants import (
+    REGIME_KINDS,
     KnowledgeRegime,
     critical_rate,
     renege_blind,
@@ -402,6 +404,46 @@ def test_strategy_scenario_mismatch_rejected():
     cfg = SimConfig(horizon=5.0, master_seed=0)
     with pytest.raises(InvalidInputError):
         run_replication(DEMO, strat, cfg)
+
+
+TINY_REGION = enumerate_regions(tiny_scenario())
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    ("region-single-queue", "region was"),
+    ("region-multi-queue", "region was"),
+    ("strategy-chain", "strategy was"),
+])
+def test_a_region_or_strategy_made_for_another_scenario_is_refused(mismatch, message):
+    # each once ran on the other scenario's region, reporting a one-resource
+    # peak load for the two-resource demo, or ended in a bare IndexError;
+    # test_strategy_scenario_mismatch_rejected covers a run's strategy
+    tiny_strat = naive_strategy(TINY_REGION, [1, 2, 0])
+    cfg = SimConfig(horizon=50.0)
+    with pytest.raises(InvalidInputError, match=message):
+        if mismatch == "region-single-queue":
+            run_replication(DEMO, None, cfg, 0, region=TINY_REGION, single_queue=True)
+        elif mismatch == "region-multi-queue":
+            run_replication(tiny_scenario(), tiny_strat, cfg, 0, region=DEMO_REGION)
+        else:
+            markov.build_transition_matrix(tiny_strat, DEMO_REGION, [0.5, 0.5])
+
+
+def test_a_negative_seed_is_refused():
+    # numpy refused it with its own ValueError, deep inside a run
+    with pytest.raises(InvalidInputError, match="seed"):
+        substream(-1, 0, TAG_ARRIVAL)
+    with pytest.raises(InvalidInputError, match="seed"):
+        run_replication(DEMO, None, SimConfig(horizon=5.0, master_seed=-1), 0,
+                        region=DEMO_REGION, single_queue=True)
+    with pytest.raises(InvalidInputError, match="seed"):
+        isolated_queue_sim(QueueParams(1.0, 1.0, 0.5, 0.3), horizon=5.0, seed=-1)
+
+
+def test_regime_names_agree():
+    # a kind in one list only would fail at run time, with a KeyError
+    assert set(engine._REGIME_RULES) == set(REGIME_KINDS)
+    assert {regime.kind for _, regime in TABLE3_REGIMES} <= set(REGIME_KINDS)
 
 
 def test_replications_hash_nothing(monkeypatch):
