@@ -15,7 +15,9 @@ served is decided in ``controller``; the loop knows the queues by index.
 ``isolated_queue_sim`` stays a loop of its own: its service epochs are
 exogenous, and its Bernoulli balk coin and Exp(alpha) patience have no
 counterpart in the admission loop. Both loops take their arrivals from
-``arrival_windows``, so neither event heap holds an arrival.
+``arrival_windows``, so neither event heap holds an arrival; the isolated
+loop keeps its one live service epoch in a local, so its heap holds only
+deadlines, and it adds time once per sojourn at a queue length.
 """
 from __future__ import annotations
 
@@ -171,9 +173,9 @@ class RunMetrics:
     issued (accepted or reneged) adds its end profit to ``profit``, counts in
     ``profiting`` when that is positive and adds its wait to ``issued_wait``;
     ``records`` is an output only. ``joined`` is derived: every arrival
-    balks, is cap-rejected or joins. ``stale_pops`` counts the events the
-    loop popped that found nothing to do: superseded service epochs and
-    deadlines of requests already done.
+    balks, is cap-rejected or joins. ``stale_pops`` counts the deadlines
+    popped, at or before the horizon, of requests already done: blind
+    deadlines in the admission loop, patience deadlines in the isolated one.
     """
 
     n_types: int
@@ -762,8 +764,8 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     occupancy dict is keyed by queue length. It is a loop of its own rather
     than a discipline of ``_Simulation``, which has none of these three
     mechanisms and would have to branch on which caller it serves; its
-    arrivals come from the same ``arrival_windows``, and its heap holds only
-    service epochs and deadlines.
+    arrivals come from the same ``arrival_windows``, its one live service
+    epoch waits in a local, and its heap holds only deadlines.
     """
     if not 0 < horizon < math.inf:
         raise InvalidInputError("horizon must be positive and finite")
@@ -779,106 +781,108 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     # one flat loop: the counters stay local until the run ends
     records: list = []
     acceptance_times: list[float] = []
-    # the join chance at each entry length, tabulated as lengths are first met
+    # the join chance at each entry length and the time at each queue length,
+    # both grown as arrivals first meet a length, and the lengths in
+    # first-visit order: a length is first visited when its first sojourn of
+    # positive time ends
     join_chance = [1.0]
-    # the time at each queue length, and the lengths in first-visit order; a
-    # length is first visited when the first positive span starts there, and
-    # the leading ``timed`` lengths have been
-    occupancy: list[float] = []
+    occupancy = [0.0]
     visits: list[int] = []
-    timed = 0
     arrivals = balks = reneges = stale = 0
     busy = issued_wait = 0.0
     queue: deque = deque()
-    last_t = 0.0
-    next_id = 1
-    # a service epoch is live while its token is the latest one issued
-    service_token = 0
+    start = 0.0  # when the queue took its present length
+    # the one live service epoch (inf while none is), and the heap of
+    # (time, seq, entry) deadlines, the first due at ``deadline``
+    service = deadline = math.inf
     seq = 0
     heap: list = []
     push, pop = heapq.heappush, heapq.heappop
 
-    # as in ``_Simulation.run``, the earlier of the next arrival and the heap
-    # head comes first; at one time a service epoch, an arrival, a deadline
-    arrival = next(arrival_stream)
-    while True:
-        if not heap or heap[0] > arrival:
-            now, prio, _ = arrival
-            arrival = next(arrival_stream)
-        else:
-            now, prio, _seq, payload = pop(heap)
-        if now > horizon:  # the last span runs to the horizon
-            now, prio = horizon, None
-        # every event adds its span, a stale one too
-        dt = now - last_t
-        last_t = now
-        if dt > 0:
-            n = len(queue)
-            if n < timed:
-                occupancy[n] += dt
-            else:  # a zero span (a tie) can skip a length's first visit
-                if n >= len(occupancy):
-                    occupancy += [0.0] * (n + 1 - len(occupancy))
-                if not occupancy[n]:
-                    visits.append(n)
-                occupancy[n] += dt
-                while timed < len(occupancy) and occupancy[timed]:
-                    timed += 1
-            if n:
-                busy += dt
-
-        if prio == PRIO_ARRIVAL:
-            arrivals += 1
-            rid = next_id
-            next_id += 1
-            entry_len = len(queue) + 1
-            if entry_len == len(join_chance):
-                join_chance.append(math.exp(-beta * entry_len / mu))
-            if next(coins) > join_chance[entry_len]:
-                balks += 1
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # the earliest event comes first; at one time a service epoch, then an
+        # arrival, then the deadlines in push order
+        arrival = next(arrival_stream)[0]
+        while True:
+            if service <= arrival and service <= deadline:
+                now = service
+                if now > horizon:
+                    break
+                n = len(queue)
+                entry = queue.popleft()
+                rid, enter = entry[0], entry[1]
+                entry[2] = True
+                acceptance_times.append(now)
+                issued_wait += now - enter
                 if collect_records:
-                    records.append(RequestRecord(rid, 1, now, 1.0, entry_len, "balked", 0.0, None))
-                continue
-            entry = [rid, now, False, entry_len]  # id, enter time, done
-            queue.append(entry)
-            if patience is not None:
-                seq += 1
-                push(heap, (now + next(patience), PRIO_DEADLINE, seq, entry))
-            if entry_len == 1:
-                service_token += 1
-                seq += 1
-                push(heap, (now + next(epochs), PRIO_RELEASE, seq, service_token))
-        elif prio == PRIO_RELEASE:  # a service epoch
-            if payload != service_token or not queue:
-                stale += 1
-                continue
-            entry = queue.popleft()
-            rid, enter = entry[0], entry[1]
-            entry[2] = True
-            acceptance_times.append(now)
-            issued_wait += now - enter
-            if collect_records:
-                records.append(RequestRecord(
-                    rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
-            # the next epoch, or none while the queue is empty
-            service_token += 1
-            if queue:
-                seq += 1
-                push(heap, (now + next(epochs), PRIO_RELEASE, seq, service_token))
-        elif prio == PRIO_DEADLINE:  # an entry has at most one, so one not done still waits
-            entry = payload
-            if entry[2]:
-                stale += 1
-                continue
-            queue.remove(entry)
-            reneges += 1
-            issued_wait += now - entry[1]
-            if collect_records:
-                records.append(RequestRecord(
-                    entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
-        else:
-            break
+                    records.append(RequestRecord(
+                        rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
+                service = now + next(epochs) if queue else math.inf
+            elif arrival <= deadline:
+                now = arrival
+                if now > horizon:
+                    break
+                arrival = next(arrival_stream)[0]
+                arrivals += 1  # the arrival count is the request's id
+                n = len(queue)
+                entry_len = n + 1
+                if entry_len == len(join_chance):
+                    join_chance.append(math.exp(-beta * entry_len / mu))
+                    occupancy.append(0.0)
+                if next(coins) > join_chance[entry_len]:
+                    balks += 1
+                    if collect_records:
+                        records.append(RequestRecord(
+                            arrivals, 1, now, 1.0, entry_len, "balked", 0.0, None))
+                    continue
+                entry = [arrivals, now, False, entry_len]  # id, enter time, done
+                queue.append(entry)
+                if patience is not None:
+                    seq += 1
+                    due = now + next(patience)
+                    push(heap, (due, seq, entry))
+                    if due < deadline:
+                        deadline = due
+                if not n:
+                    service = now + next(epochs)
+            else:  # an entry has one deadline, so one not done still waits
+                now = deadline
+                if now > horizon:
+                    break
+                entry = pop(heap)[2]
+                deadline = heap[0][0] if heap else math.inf
+                if entry[2]:
+                    stale += 1
+                    continue
+                n = len(queue)
+                queue.remove(entry)
+                if n == 1:  # no epoch serves the emptied queue: the next join draws one
+                    service = math.inf
+                reneges += 1
+                issued_wait += now - entry[1]
+                if collect_records:
+                    records.append(RequestRecord(
+                        entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
+            # the queue leaves length n: its sojourn there adds its time, and visits n if positive
+            if not occupancy[n] and now > start:
+                visits.append(n)
+            occupancy[n] += now - start
+            if n:
+                busy += now - start
+            start = now
+    finally:
+        if collecting:
+            gc.enable()
 
+    # the last sojourn runs to the horizon
+    n = len(queue)
+    if not occupancy[n] and horizon > start:
+        visits.append(n)
+    occupancy[n] += horizon - start
+    if n:
+        busy += horizon - start
     return RunMetrics(
         n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
         replication=0, arrivals=[arrivals], balks=[balks],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -334,13 +335,17 @@ def run_preset(name: str, scenario: Scenario, out_path, scale: float,
         raise InvalidInputError(f"unknown preset {name!r}")
     if not 0 < scale <= 1:
         raise InvalidInputError("scale must lie in (0, 1]")
-    out = OutputDir.create(
-        out_path, force,
-        preset=name, scale=scale, seed=seed,
-        scenario_fingerprint=scenario.fingerprint(),
-        argv=sys.argv[1:],
-    )
-    summary = PRESETS[name](scenario, out, scale, seed, progress=progress)
-    out.manifest["summary"] = summary
-    out.finalize()
+    # a preset that fails removes the topmost directory it made, if any
+    made = next((p for p in reversed((Path(out_path), *Path(out_path).parents))
+                 if not p.exists()), None)
+    try:
+        out = OutputDir.create(out_path, force, preset=name, scale=scale, seed=seed,
+                               scenario_fingerprint=scenario.fingerprint(), argv=sys.argv[1:])
+        summary = PRESETS[name](scenario, out, scale, seed, progress=progress)
+        out.manifest["summary"] = summary
+        out.finalize()
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return summary

@@ -425,6 +425,24 @@ def test_preset_rejects_bad_scale(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("out", ["run", "made/for/run", "empty"])
+def test_a_failed_preset_leaves_no_directory_it_made(tmp_path, capsys, out):
+    # table3 refuses the scenario only once it runs; it made its output
+    # directory first, and left it behind empty. A directory that was there
+    # before stays
+    data = tiny_scenario().to_dict()
+    data["slice_types"] = [dict(data["slice_types"][0], cost=[0.0])]
+    scenario = tmp_path / "zero.json"
+    scenario.write_text(json.dumps(data))
+    (tmp_path / "empty").mkdir()
+    code, out_text, err = _run(capsys, "preset", "table3", "--scenario", str(scenario),
+                               "--out", str(tmp_path / out))
+    assert code == 2
+    assert "all-zero cost vector" in err and out_text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "zero.json"]
+    assert not any((tmp_path / "empty").iterdir())
+
+
 def _file_argv(tmp_path, text, *argv):
     """``argv`` with "{path}" standing for a file that holds ``text``, which
     may be bytes."""

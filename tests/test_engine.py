@@ -507,27 +507,116 @@ def test_isolated_conservation_and_determinism():
 
 
 @pytest.mark.parametrize("params", [(1.0, 1.0, 0.5, 0.3), (2.0, 1.5, 0.0, 0.2)])
-def test_isolated_pops_are_events_and_stale_pops(params, monkeypatch):
-    # arrivals never enter the heap, so every pop within the horizon is an
-    # acceptance, a renege or a stale event; a stale event dropped before
-    # its span is added, which no digest sees, leaves a pop uncounted. Only
-    # patience leaves stale events: the deadline of a request already
-    # served, or the epoch of a queue that reneges emptied
+def test_isolated_heap_holds_only_deadlines(params, monkeypatch):
+    # the one live service epoch stays out of the heap, so each joining
+    # request pushes its deadline and nothing else is pushed; every deadline
+    # popped within the horizon is a renege or a stale one, the deadline of a
+    # request already served, and a stale deadline left uncounted fails here
     horizon = 2e3
-    popped = []
-    heappop = heapq.heappop
+    pushed, popped = [], []
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def counted(heap):
+    def push(heap, item):
+        pushed.append(item[0])
+        heappush(heap, item)
+
+    def pop(heap):
         item = heappop(heap)
         popped.append(item[0])
         return item
 
-    monkeypatch.setattr(heapq, "heappop", counted)
+    monkeypatch.setattr(heapq, "heappush", push)
+    monkeypatch.setattr(heapq, "heappop", pop)
     m = isolated_queue_sim(QueueParams(*params), horizon=horizon, seed=7, collect_records=False)
     monkeypatch.undo()
-    assert (m.stale_pops > 0) == (params[2] > 0)
-    assert sum(t <= horizon for t in popped) == \
-        sum(m.acceptances) + sum(m.reneges) + m.stale_pops
+    if params[2] == 0:
+        assert pushed == popped == [] and m.stale_pops == 0
+    else:
+        assert len(pushed) == sum(m.joined) and sum(m.reneges) > 0 and m.stale_pops > 0
+        assert sum(t <= horizon for t in popped) == sum(m.reneges) + m.stale_pops
+
+
+class _FixedDraws:
+    """A stand-in generator that returns set draws, then draws far apart."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def exponential(self, scale, size):
+        head, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(head + [1e9] * (size - len(head)))
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def test_isolated_ties_go_service_then_arrival_then_deadline(monkeypatch):
+    # arrivals at 1, 2, 3; request 1's deadline falls on the second arrival
+    # and the first service epoch on the third. Request 3 reneges at 3.25,
+    # and request 2's deadline, at 3.5, finds it served. A length held for
+    # no time (2 at t = 2, 0 at t = 3) is no visit
+    draws = {TAG_ARRIVAL: [1.0, 1.0, 1.0], TAG_SERVICE: [2.0, 5.0],
+             TAG_PATIENCE: [1.0, 1.5, 0.25], TAG_BALK: []}
+    monkeypatch.setattr(engine, "substream", lambda seed, rep, tag: _FixedDraws(draws[tag]))
+    m = isolated_queue_sim(QueueParams(1.0, 1.0, 1.0, 0.0), horizon=3.75, seed=0)
+    assert [(r.request_id, r.enter_time, r.entry_queue_length, r.disposition, r.wait)
+            for r in m.records] == [(1, 1.0, 1, "reneged", 1.0), (2, 2.0, 2, "accepted", 1.0),
+                                    (3, 3.0, 1, "reneged", 0.25)]
+    assert (m.arrivals, m.reneges, m.acceptances, m.still_waiting, m.stale_pops) \
+        == ([3], [2], [1], [0], 1)
+    assert m.acceptance_times == [[3.0]]
+    assert list(m.occupancy.items()) == [((0,), 1.5), ((1,), 2.25)]
+    assert m.busy_time == [2.25]
+
+
+def _queue_path_from_records(m, params, seed):
+    """The occupancy (keys in first-visit order) and busy time of the
+    queue-length path an isolated run's records trace: a joined request holds
+    a place from its entry until its wait ends, or until the horizon if it is
+    still waiting. A request's id counts the arrivals, so the arrival epochs
+    give each still-waiting request, which leaves no record, its entry."""
+    epochs = itertools.chain.from_iterable(engine.arrival_windows(
+        [substream(seed, 0, TAG_ARRIVAL)], [1.0 / params.arrival_rate]))
+    by_id = {r.request_id: r for r in m.records}
+    changes, waiting = [], 0
+    for rid in range(1, m.arrivals[0] + 1):
+        t = next(epochs)[0]
+        r = by_id.get(rid)
+        if r is None:
+            waiting += 1
+            changes.append((t, 1))
+        else:
+            assert r.enter_time == t
+            if r.disposition != "balked":
+                changes += [(t, 1), (t + r.wait, -1)]
+    assert waiting == m.still_waiting[0]
+    occupancy, busy, n, last = {}, 0.0, 0, 0.0
+    for t, step in sorted(changes) + [(m.horizon, 0)]:
+        if t > last:
+            occupancy[(n,)] = occupancy.get((n,), 0.0) + (t - last)
+            busy += (t - last) if n else 0.0
+        n, last = n + step, t
+    return occupancy, busy
+
+
+@pytest.mark.parametrize("params", [
+    (1.0, 1.0, 0.5, 0.3),
+    (2.0, 1.5, 0.0, 0.2),  # alpha = 0: nobody reneges
+    (0.7, 3.0, 1.0, 0.0),  # beta = 0: every arrival joins
+    (3.0, 1.0, 0.05, 0.01),  # heavy load: the queue reaches 55, as in the pins
+])
+def test_isolated_occupancy_equals_the_records_path(params):
+    # the loop adds time once per sojourn at a length; the records give each
+    # request's stay, and so the whole path of the queue length
+    params = QueueParams(*params)
+    m = isolated_queue_sim(params, horizon=2e4, seed=7)
+    occupancy, busy = _queue_path_from_records(m, params, 7)
+    assert list(m.occupancy) == list(occupancy)
+    for key, dt in occupancy.items():
+        assert m.occupancy[key] == pytest.approx(dt, rel=1e-9)
+    assert m.busy_time[0] == pytest.approx(busy, rel=1e-9)
+    if params.arrival_rate == 3.0:
+        assert max(m.occupancy)[0] >= 50
 
 
 def test_substreams_independent_of_extra_draws():
@@ -1159,6 +1248,43 @@ def test_a_run_leaves_the_collector_as_it_found_it(enabled, raises):
                 sim.run()
         else:
             sim.run()
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert paused and all(paused)
+
+
+@pytest.mark.parametrize("collect_records", [False, True])
+@pytest.mark.parametrize("params", [(1.0, 1.0, 0.5, 0.3), (2.0, 1.5, 0.0, 0.2)])
+def test_an_isolated_run_leaves_no_cyclic_garbage(params, collect_records):
+    gc.collect()
+    m = isolated_queue_sim(QueueParams(*params), horizon=2e3, seed=3,
+                           collect_records=collect_records)
+    assert gc.collect() == 0
+    assert bool(m.records) == collect_records
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_isolated_run_leaves_the_collector_as_it_found_it(enabled, raises, monkeypatch):
+    # every joining request pushes its deadline, from inside the loop
+    paused = []
+    heappush = heapq.heappush
+
+    def push(heap, item):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise RuntimeError("push failed")
+        heappush(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", push)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="push failed"):
+                isolated_queue_sim(QueueParams(1.0, 1.0, 0.5, 0.3), horizon=50.0, seed=0)
+        else:
+            isolated_queue_sim(QueueParams(1.0, 1.0, 0.5, 0.3), horizon=50.0, seed=0)
         assert gc.isenabled() == enabled
     finally:
         gc.enable()
