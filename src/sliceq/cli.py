@@ -32,8 +32,8 @@ from .errors import (
     SliceQError,
 )
 from .fitting import fit_exponential, fit_geometric, fit_success, floor_binned
-from .markov import SEARCH_CSV_HEADER, analytic_evaluation, strategy_search
-from .presets import PRESET_NAMES, OutputDir, run_preset, run_regions_report
+from .markov import OBJECTIVES, SEARCH_CSV_HEADER, analytic_evaluation, strategy_search
+from .presets import PRESETS, OutputDir, run_preset, run_regions_report
 from .queueing import QueueParams, impatient_pmf, wait_densities
 from .tenants import REGIME_KINDS, KnowledgeRegime
 
@@ -336,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_sim_opts(p)
     p.add_argument("--n-strategies", dest="n_strategies", type=int, default=100)
-    p.add_argument("--objective", choices=["utility", "wait", "admission"],
-                   default="utility")
+    p.add_argument("--objective", choices=list(OBJECTIVES), default="utility")
     p.add_argument("--evaluator", choices=["simulation", "analytic"],
                    default="simulation")
     p.add_argument("--exhaustive", action="store_true")
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="run a bundled experiment campaign")
     add_common(p)
-    p.add_argument("name", choices=list(PRESET_NAMES))
+    p.add_argument("name", choices=list(PRESETS))
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

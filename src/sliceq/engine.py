@@ -10,14 +10,13 @@ perturbs the others.
 One event loop runs both admission disciplines: the preference-ordered
 multi-queue controller and the greedy single mixed queue it is judged
 against. The loop decides who joins: an arriving tenant's entrance rule,
-then the queue cap. Which queue a request waits in and how the queues are
-served is decided in ``controller``; the loop knows the queues by index.
-``isolated_queue_sim`` stays a loop of its own: its service epochs are
-exogenous, and its Bernoulli balk coin and Exp(alpha) patience have no
-counterpart in the admission loop. Both loops take their arrivals from
-``arrival_windows``, so neither event heap holds an arrival; the isolated
-loop keeps its one live service epoch in a local, so its heap holds only
-deadlines, and it adds time once per sojourn at a queue length.
+then the queue cap, so a tenant that would balk at a full queue is a balk;
+a refused arrival is recorded with entry length 0 and is never a request.
+Which queue a request waits in and how the queues are served is decided in
+``controller``, entered only through ``on_request`` and ``on_release``; the
+loop knows the queues by index. Arrivals are Poisson epochs that no decision
+moves, so this loop and ``isolated_queue_sim``'s own take them from
+``arrival_windows``, and neither event heap holds one.
 """
 from __future__ import annotations
 
@@ -95,7 +94,8 @@ def substream(master_seed: int, replication: int, tag: int) -> np.random.Generat
 def block_draws(sample, *args):
     """Successive draws of the sampler ``sample(*args)``, say
     ``rng.exponential`` with its scale or ``rng.random``, drawn a block at a
-    time; a block holds the same doubles as that many scalar draws."""
+    time and chained in C, so a draw runs no Python code; a block holds the
+    same doubles as that many scalar draws."""
     return chain.from_iterable(iter(lambda: sample(*args, DRAW_BLOCK).tolist(), None))
 
 
@@ -167,15 +167,15 @@ class RunMetrics:
     """Everything measured in one replication.
 
     ``occupancy`` maps active-slice vectors to total time spent there (queue
-    lengths for the isolated single-queue simulator). It and the acceptance
-    timestamps start at the warmup boundary, so the occupancy covers
-    horizon - warmup_time, which ``SimConfig`` keeps positive. A request
-    issued (accepted or reneged) adds its end profit to ``profit``, counts in
-    ``profiting`` when that is positive and adds its wait to ``issued_wait``;
-    ``records`` is an output only. ``joined`` is derived: every arrival
+    lengths for the isolated simulator). It and the acceptance timestamps start
+    at the warmup boundary, so the occupancy covers horizon - warmup_time,
+    which ``SimConfig`` keeps positive. A request issued (accepted or reneged)
+    adds its end profit to ``profit``, counts in ``profiting`` when that is
+    positive and adds its wait to ``issued_wait``; ``records`` is an output
+    only, on which no other field depends. ``joined`` is derived: every arrival
     balks, is cap-rejected or joins. ``stale_pops`` counts the deadlines
-    popped, at or before the horizon, of requests already done: blind
-    deadlines in the admission loop, patience deadlines in the isolated one.
+    popped, at or before the horizon, of requests already done: blind deadlines
+    in the admission loop, patience deadlines in the isolated one.
     """
 
     n_types: int
@@ -225,10 +225,7 @@ class RunMetrics:
         return np.array([len(ts) / span for ts in self.acceptance_times])
 
     def inter_acceptance_times(self, slice_type: int) -> np.ndarray:
-        ts = np.asarray(self.acceptance_times[slice_type - 1])
-        if len(ts) < 2:
-            return np.array([])
-        return np.diff(ts)
+        return np.diff(np.asarray(self.acceptance_times[slice_type - 1]))
 
 
 class _QueueStats:
@@ -421,7 +418,6 @@ class _Simulation:
 
         self.ctrl = ControllerState(region=self.region,
                                     queues=[deque()] if single_queue else [])
-        self.queue_index = self.ctrl.queue_index
         n_queues = len(self.ctrl.queues)
         self.stats = [_QueueStats() for _ in range(n_queues)]
         kind = config.knowledge.kind
@@ -483,8 +479,6 @@ class _Simulation:
     def _reevaluate_queue(self, i: int) -> None:
         """Let every tenant waiting in queue ``i`` that can still renege
         re-decide; cascades until no one reneges."""
-        if self.stay_rule is None:
-            return
         queue = self.ctrl.queues[i]
         mu = self.stats[i].service_rate()
         if self.bounds is not None and (mu is None or (mu > self.bounds[i] * FILTER_SLACK
@@ -561,7 +555,7 @@ class _Simulation:
         a type index (arrival), a slice type (release) or a request (deadline).
         """
         ctrl, strategy, metrics, trace = self.ctrl, self.strategy, self.metrics, self.trace
-        queues, queue_index, stats = ctrl.queues, self.queue_index, self.stats
+        queues, queue_index, stats = ctrl.queues, ctrl.queue_index, self.stats
         queue_stats = list(zip(queues, stats))
         arrival_stream, lifetimes = self.arrival_stream, self.lifetimes
         tenants = [_Tenant(t + 1, st.issue_cost, st.waiting_cost_rate, st.profit_rate)
@@ -763,9 +757,10 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     head included, abandons after an individual Exp(alpha) patience. The
     occupancy dict is keyed by queue length. It is a loop of its own rather
     than a discipline of ``_Simulation``, which has none of these three
-    mechanisms and would have to branch on which caller it serves; its
-    arrivals come from the same ``arrival_windows``, its one live service
-    epoch waits in a local, and its heap holds only deadlines.
+    mechanisms and would have to branch on which caller it serves. Its one
+    live service epoch waits in a local, so its heap holds only deadlines; it
+    adds time once per sojourn at a queue length, and it pauses the cyclic
+    collector as ``_Simulation.run`` does.
     """
     if not 0 < horizon < math.inf:
         raise InvalidInputError("horizon must be positive and finite")

@@ -30,10 +30,8 @@ class FitResult:
 def fit_geometric(samples) -> FitResult:
     """MLE of a geometric distribution on {0, 1, 2, ...}: p = 1/(1 + mean)."""
     xs = np.asarray(list(samples), dtype=float)
-    if xs.size == 0:
-        raise InvalidInputError("cannot fit an empty sample")
     if xs.size < 2:
-        raise InvalidInputError("need at least two samples")
+        raise InvalidInputError(f"need at least two samples, not {xs.size}")
     if (xs < 0).any() or not np.isfinite(xs).all():
         raise InvalidInputError("geometric samples must be finite and non-negative")
     mean = float(xs.mean())
@@ -77,10 +75,8 @@ def fit_exponential(samples) -> FitResult:
     fitted one; values well above 1 flag a heavier-than-exponential tail.
     """
     xs = np.asarray(list(samples), dtype=float)
-    if xs.size == 0:
-        raise InvalidInputError("cannot fit an empty sample")
     if xs.size < 2:
-        raise InvalidInputError("need at least two samples")
+        raise InvalidInputError(f"need at least two samples, not {xs.size}")
     if (xs <= 0).any() or not np.isfinite(xs).all():
         raise InvalidInputError("exponential samples must be positive and finite")
     mean = float(xs.mean())
@@ -114,7 +110,7 @@ def profit_summary(n_issued, profit, profiting) -> dict[int, dict]:
     ``profit[t]`` sums their end profits, reneged losses included, and
     ``profiting[t]`` counts those with a positive one. Balked, capacity-rejected
     and still-waiting requests never issued and are in no tally. A type that
-    issued nothing gets zeros and an explicit empty marker.
+    issued nothing gets zeros.
     """
     out = {}
     for t, (n, total, wins) in enumerate(zip(n_issued, profit, profiting), start=1):
@@ -123,7 +119,6 @@ def profit_summary(n_issued, profit, profiting) -> dict[int, dict]:
             "total_profit": float(total),
             "mean_profit": total / n if n else 0.0,
             "profiting_chance": wins / n if n else 0.0,
-            "empty": n == 0,
         }
     return out
 

@@ -1,13 +1,16 @@
 """Embedded-chain evaluation of admission strategies and strategy search.
 
-The transition matrix treats one decision epoch per step: from an admissible
-state the controller serves the first preferred type whose queue is
-non-empty and whose slice fits, so the chance of moving along a preference
-column is a product of queue-empty probabilities. Every move adds a slice,
-and states outside the admissibility region hold a pure self-loop, so the
-chain is absorbing: its long-run law is the absorption law, solved exactly
-with the fundamental matrix. Results are labelled an embedded-chain
-approximation, with the simulator as ground truth.
+A chain step is one acceptance, the one ``build_transition_matrix`` finds
+by walking a preference column; the next step reads the new state's column.
+The controller instead finishes its pass down the old column, so the chain
+can part from the system: on the demo (seed 1) it sends naive [1, 2, 0] to
+(20, 0) with u_sigma 20.0, where patient simulation (horizon 1000, warm-up
+0.1, seed 7, 4 replications) holds (17, 15) at 39.5, and gives [2, 1, 0]
+30.0 against 37.0. Every move adds a slice, and states outside the
+admissibility region hold a pure self-loop, so the chain is absorbing: its
+long-run law is the absorption law, solved exactly with the fundamental
+matrix. Results are labelled an embedded-chain approximation, with the
+simulator as ground truth.
 """
 from __future__ import annotations
 
@@ -37,8 +40,9 @@ def build_transition_matrix(strategy: Strategy, region: RegionIndex,
     ``empty_probs[t]`` is the chance that queue t+1 is empty at a decision
     epoch. Walking a preference column, a type whose slice does not fit is
     skipped, as the controller does; the mass that reaches a fitting type and
-    finds its queue non-empty moves along its slice increment. Mass left at
-    the reserve element or at the end of the column stays put.
+    finds its queue non-empty moves along its slice increment, so a move's
+    chance is a product of queue-empty probabilities. Mass left at the
+    reserve element or at the end of the column stays put.
     """
     strategy.check_fingerprint(region.scenario_fingerprint)
     p0 = np.asarray(empty_probs, dtype=float)
@@ -223,18 +227,15 @@ def analytic_evaluation(scenario: Scenario, strategy: Strategy,
     p_init[region.feasible_index((0,) * scenario.n_types)] = 1.0
 
     # a given empty_probs is one undamped round with p0 fixed
-    fixed = empty_probs is not None
-    rounds = 0 if fixed else fixed_point_rounds
-    mu_hat = None if fixed else bootstrap_service_rates(scenario, strategy, region, seed)
-    settled = True
+    mu_hat = (None if empty_probs is not None
+              else bootstrap_service_rates(scenario, strategy, region, seed))
+    rounds = 0 if mu_hat is None else fixed_point_rounds
     for _ in range(max(1, rounds)):
-        p0 = empty_probs if fixed else empty_probs_from_analytics(scenario, mu_hat)
+        p0 = empty_probs if mu_hat is None else empty_probs_from_analytics(scenario, mu_hat)
         psi = build_transition_matrix(strategy, region, p0)
         result = long_run_distribution(psi, p_init)
         mu_next = estimate_acceptance_rates(result.distribution, region, eta)
-        if rounds == 0:
-            break
-        settled = bool(np.abs(mu_next - mu_hat).max() < 1e-6)
+        settled = rounds == 0 or bool(np.abs(mu_next - mu_hat).max() < 1e-6)
         if settled:
             break
         mu_hat = 0.5 * mu_hat + 0.5 * mu_next

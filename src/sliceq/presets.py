@@ -70,22 +70,18 @@ class OutputDir:
         manifest = {"package_version": __version__, "outputs": [], **manifest_fields}
         return cls(path=p, manifest=manifest)
 
-    def write_csv(self, name: str, header, rows) -> Path:
-        out = self.path / name
-        with open(out, "w", newline="") as fh:
+    def write_csv(self, name: str, header, rows) -> None:
+        with open(self.path / name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
         self.manifest["outputs"].append(name)
-        return out
 
-    def write_json(self, name: str, payload) -> Path:
-        out = self.path / name
-        with open(out, "w") as fh:
+    def write_json(self, name: str, payload) -> None:
+        with open(self.path / name, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         self.manifest["outputs"].append(name)
-        return out
 
     def finalize(self) -> None:
         with open(self.path / "manifest.json", "w") as fh:
@@ -276,15 +272,14 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
 
 def run_fig6_search(scenario: Scenario, out: OutputDir, scale: float,
                     seed: int, n_strategies: int | None = None,
-                    rounds: int = 25, horizon: float = 40.0,
-                    objective: str = "utility", progress=None) -> dict:
+                    rounds: int = 25, horizon: float = 40.0, progress=None) -> dict:
     """Random-strategy search with naive and greedy single-queue benchmarks."""
     region = enumerate_regions(scenario)
     n_strat = n_strategies if n_strategies is not None else scaled(10_000, scale)
     cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
                     knowledge=KnowledgeRegime("full"),
                     initial_state="random_full", replications=rounds)
-    rows = strategy_search(scenario, region, n_strat, cfg, objective=objective)
+    rows = strategy_search(scenario, region, n_strat, cfg)
     out.write_csv("fig6_search.csv", SEARCH_CSV_HEADER, [r.csv_row() for r in rows])
     best_random = max((r for r in rows if r.kind == "random"),
                       key=lambda r: r.u_sigma)
@@ -326,7 +321,6 @@ PRESETS = {
     "regions": lambda scenario, out, *_, **__: run_regions_report(scenario, out,
                                                                   dump_states=True),
 }
-PRESET_NAMES = tuple(PRESETS)
 
 
 def run_preset(name: str, scenario: Scenario, out_path, scale: float,

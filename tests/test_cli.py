@@ -4,11 +4,13 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sliceq import cli, core, engine
 from sliceq.cli import main
 from sliceq.core import demo_scenario, enumerate_regions, tiny_scenario
+from sliceq.markov import analytic_evaluation
 from sliceq.tenants import KnowledgeRegime
 
 
@@ -295,6 +297,25 @@ def test_markov_explicit_empty_probs(capsys):
     code, _, _ = _run(capsys, "markov", "--scenario", "builtin:demo",
                       "--strategy", "naive:2,1,0", "--empty-probs", "1")
     assert code == 2
+
+
+def test_markov_default_strategy_is_the_seeds_random_strategy(capsys):
+    # with no --strategy the chain evaluates the first strategy that the
+    # seed's strategy stream draws
+    code, out, _ = _run(capsys, "markov", "--empty-probs", "0.3,0.6")
+    assert code == 0
+    report = json.loads(out)
+    sc = demo_scenario()
+    region = enumerate_regions(sc)
+    strategy = core.random_strategy(region, engine.substream(0, 0, 997))
+    want = analytic_evaluation(sc, strategy, region, empty_probs=[0.3, 0.6])
+    assert report["acceptance_rates"] == want["acceptance_rates"].tolist()
+    assert report["u_sigma"] == want["u_sigma"]
+    top = [list(region.feasible[i]) for i in np.argsort(want["long_run"])[::-1][:10]]
+    assert [s["state"] for s in report["top_states"]] == top
+    naive = analytic_evaluation(sc, core.naive_strategy(region, [1, 2, 0]), region,
+                                empty_probs=[0.3, 0.6])
+    assert report["u_sigma"] != naive["u_sigma"]
 
 
 def test_markov_refuses_negative_fixed_point_rounds(capsys):

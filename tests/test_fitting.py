@@ -135,17 +135,15 @@ def test_profit_summary_basic():
     # type 1 issued an accepted request worth 10 and a reneged one losing 2
     table = profit_summary([2, 1], [8.0, 5.0], [1, 1])
     assert table[1] == {"n_issued": 2, "total_profit": 8.0, "mean_profit": 4.0,
-                        "profiting_chance": 0.5, "empty": False}
+                        "profiting_chance": 0.5}
     assert table[2]["profiting_chance"] == 1.0
 
 
 def test_profit_summary_empty_flag():
     table = profit_summary([0, 1], [0.0, 5.0], [0, 1])
-    assert table[1]["empty"]
     assert table[1]["total_profit"] == 0.0
     assert table[1]["n_issued"] == 0
     assert table[1]["mean_profit"] == table[1]["profiting_chance"] == 0.0
-    assert not table[2]["empty"]
 
 
 def _run(seed, **kwargs):

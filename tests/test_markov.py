@@ -256,6 +256,15 @@ def test_empty_probs_from_analytics():
     assert empty_probs_from_analytics(patient, [8.0])[0] == pytest.approx(1 - 2.0 / 8.0)
 
 
+def test_empty_probs_from_analytics_leaves_an_unserved_queue_never_empty():
+    # a type measured at rate 0 is never served, so its queue is never empty;
+    # the other types' probabilities do not depend on it
+    tiny = tiny_scenario()
+    got = empty_probs_from_analytics(tiny, [0.0, 3.0])
+    assert got[0] == 0.0
+    assert got[1] == empty_probs_from_analytics(tiny, [0.8, 3.0])[1]
+
+
 def test_analytic_evaluation_runs_and_is_labelled():
     sc = demo_scenario()
     region = enumerate_regions(sc)
@@ -301,6 +310,26 @@ def test_analytic_evaluation_pinned_results(monkeypatch, rounds, empty_probs, di
     res = analytic_evaluation(sc, strat, region, seed=1, fixed_point_rounds=rounds,
                               empty_probs=empty_probs)
     assert _result_digest(res) == digest
+
+
+@pytest.mark.parametrize("rounds, converged", [(20, False), (30, True)])
+def test_fixed_point_ends_once_the_rates_settle(monkeypatch, rounds, converged):
+    # on the demo under [2, 1, 0] each solve gives type 1 a rate near 0, but
+    # damping only halves the bootstrap's rate: the rates a solve returns are
+    # within 1e-6 of those it was fed first at the 24th solve, which ends the
+    # rounds; 20 rounds stop short of it
+    sc = demo_scenario()
+    region = enumerate_regions(sc)
+    strat = naive_strategy(region, [2, 1, 0])
+    solves = []
+    solve = markov.long_run_distribution
+    monkeypatch.setattr(markov, "long_run_distribution",
+                        lambda *args: solves.append(args) or solve(*args))
+    res = analytic_evaluation(sc, strat, region, seed=1, fixed_point_rounds=rounds)
+    assert len(solves) == min(rounds, 24)
+    assert res["converged"] is converged
+    assert res["residual"] <= markov.CONVERGED_RESIDUAL
+    assert res["acceptance_rates"].tolist() == [0.0, pytest.approx(20 / 3, rel=1e-12)]
 
 
 def test_analytic_evaluation_stays_sparse_on_large_region():

@@ -5,11 +5,12 @@ import tracemalloc
 
 import pytest
 
-from sliceq.core import demo_scenario, enumerate_regions, random_strategy
+from sliceq.core import Scenario, SliceType, demo_scenario, enumerate_regions, random_strategy
 from sliceq.engine import SimConfig, run_replication, substream
 from sliceq.errors import InvalidInputError
 from sliceq.presets import (
     OutputDir,
+    run_fig4_iat,
     run_fig5_reneging,
     run_fig6_search,
     run_preset,
@@ -96,6 +97,39 @@ def test_fig5_schema(tmp_path):
     assert campaigns == {"random", "prefer2"}
     hist = (tmp_path / "f5" / "fig5_histogram.csv").read_text()
     assert hist.startswith("campaign,queue,bin_lo,bin_hi,count")
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_fig4_and_fig5_leave_a_queue_with_under_two_samples_unfitted(tmp_path):
+    # type 2 arrives about once in 1e9 time units: its queue accepts and
+    # reneges nobody, while type 1's queue fills and full tenants renege
+    sc = Scenario(resources=(1.0,), slice_types=(
+        SliceType(cost=(0.3,), arrival_rate=3.0, release_rate=0.5,
+                  waiting_cost_rate=1.0, profit_rate=4.0),
+        SliceType(cost=(0.1,), arrival_rate=1e-9, release_rate=0.5,
+                  waiting_cost_rate=1.0, profit_rate=4.0)))
+    out = OutputDir.create(tmp_path / "f4", force=False)
+    summary = run_fig4_iat(sc, out, scale=1.0, seed=3, n_strategies=1, rounds=2, horizon=40.0)
+    rows = _csv_rows(tmp_path / "f4" / "fig4_iat_fits.csv")
+    assert [r for r in rows if r[2] == "2"] == [
+        ["patient", "0", "2", "0", "", "", "0"], ["impatient", "0", "2", "0", "", "", "0"]]
+    assert all(r[4] and r[6] == "1" for r in rows if r[2] == "1")
+    # an unfitted queue counts as a failed fit
+    assert summary["patient_success_rate"] == summary["impatient_success_rate"] == 0.5
+
+    out = OutputDir.create(tmp_path / "f5", force=False)
+    summary = run_fig5_reneging(sc, out, scale=1.0, seed=3, n_strategies=1, rounds=2,
+                                horizon=40.0)
+    rows = _csv_rows(tmp_path / "f5" / "fig5_fits.csv")
+    assert [r for r in rows if r[1] == "2"] == [["random", "2", "0", "", ""],
+                                                ["prefer2", "2", "0", "", ""]]
+    assert all(int(r[2]) >= 2 and r[3] for r in rows if r[1] == "1")
+    assert {r[1] for r in _csv_rows(tmp_path / "f5" / "fig5_histogram.csv")} == {"1"}
+    assert sorted(summary) == ["prefer2_tail_diag_1", "random_tail_diag_1"]
 
 
 def test_fig6_schema_and_benchmarks(tmp_path):
