@@ -15,8 +15,8 @@ a refused arrival is recorded with entry length 0 and is never a request.
 Which queue a request waits in and how the queues are served is decided in
 ``controller``, entered only through ``on_request`` and ``on_release``; the
 loop knows the queues by index. Arrivals are Poisson epochs that no decision
-moves, so this loop and ``isolated_queue_sim``'s own take them from
-``arrival_windows``, and neither event heap holds one.
+moves, so this loop takes them from ``arrival_windows`` (which feeds it
+only; ``isolated_queue_sim`` sums one type's gaps) and its heap holds none.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import heapq
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, repeat, takewhile
+from itertools import accumulate, chain, repeat, takewhile
 
 import numpy as np
 
@@ -173,9 +173,9 @@ class RunMetrics:
     adds its end profit to ``profit``, counts in ``profiting`` when that is
     positive and adds its wait to ``issued_wait``; ``records`` is an output
     only, on which no other field depends. ``joined`` is derived: every arrival
-    balks, is cap-rejected or joins. ``stale_pops`` counts the deadlines
-    popped, at or before the horizon, of requests already done: blind deadlines
-    in the admission loop, patience deadlines in the isolated one.
+    balks, is cap-rejected or joins. ``stale_pops`` counts the deadlines due
+    by the horizon of requests already served: the admission loop pops each
+    blind one as an event, the isolated loop counts a patience one at service.
     """
 
     n_types: int
@@ -757,41 +757,34 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     head included, abandons after an individual Exp(alpha) patience. The
     occupancy dict is keyed by queue length. It is a loop of its own rather
     than a discipline of ``_Simulation``, which has none of these three
-    mechanisms and would have to branch on which caller it serves. Its one
-    live service epoch waits in a local, so its heap holds only deadlines; it
-    adds time once per sojourn at a queue length, and it pauses the cyclic
-    collector as ``_Simulation.run`` does.
+    mechanisms and would have to branch on which caller it serves. Arrivals
+    are a running sum of block-drawn gaps, the doubles ``arrival_windows``
+    gives one type, and no served request's deadline is ever an event.
     """
     if not 0 < horizon < math.inf:
         raise InvalidInputError("horizon must be positive and finite")
     lam, mu = params.arrival_rate, params.service_rate
     alpha, beta = params.reneging_rate, params.balking_exponent
-    arrival_stream = chain.from_iterable(
-        arrival_windows([substream(seed, 0, TAG_ARRIVAL)], [1.0 / lam]))
+    arrival_stream = accumulate(block_draws(substream(seed, 0, TAG_ARRIVAL).exponential, 1.0 / lam))
     epochs = block_draws(substream(seed, 0, TAG_SERVICE).exponential, 1.0 / mu)
     coins = block_draws(substream(seed, 0, TAG_BALK).random)
     patience = (block_draws(substream(seed, 0, TAG_PATIENCE).exponential, 1.0 / alpha)
-                if alpha > 0 else None)
+                if alpha > 0 else repeat(math.inf))
 
     # one flat loop: the counters stay local until the run ends
-    records: list = []
-    acceptance_times: list[float] = []
+    records, acceptance_times = [], []
     # the join chance at each entry length and the time at each queue length,
-    # both grown as arrivals first meet a length, and the lengths in
-    # first-visit order: a length is first visited when its first sojourn of
-    # positive time ends
-    join_chance = [1.0]
-    occupancy = [0.0]
-    visits: list[int] = []
-    arrivals = balks = reneges = stale = 0
-    busy = issued_wait = 0.0
-    queue: deque = deque()
-    start = 0.0  # when the queue took its present length
-    # the one live service epoch (inf while none is), and the heap of
-    # (time, seq, entry) deadlines, the first due at ``deadline``
-    service = deadline = math.inf
-    seq = 0
-    heap: list = []
+    # both grown as arrivals first meet a length, and the lengths in the order
+    # their first sojourn of positive time ends
+    join_chance, occupancy, visits = [1.0], [0.0], []
+    arrivals = balks = reneges = stale = size = 0
+    busy = issued_wait = start = 0.0  # ``size`` requests wait, since ``start``
+    # joined [due, id, enter, entry length, gone] entries in join order, a
+    # reneged one kept, marked gone, until it reaches the head; the heap holds
+    # them by due time, then id (push order), and drops a served one once it is
+    # first, so its first, due at ``deadline``, waits or falls past the horizon
+    queue, heap = deque(), []
+    service = deadline = math.inf  # ``service`` is the one live service epoch, if any
     push, pop = heapq.heappush, heapq.heappop
 
     collecting = gc.isenabled()
@@ -799,29 +792,39 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
     try:
         # the earliest event comes first; at one time a service epoch, then an
         # arrival, then the deadlines in push order
-        arrival = next(arrival_stream)[0]
+        arrival = next(arrival_stream)
         while True:
             if service <= arrival and service <= deadline:
                 now = service
                 if now > horizon:
                     break
-                n = len(queue)
+                n, size = size, size - 1
                 entry = queue.popleft()
-                rid, enter = entry[0], entry[1]
-                entry[2] = True
+                while entry[4]:
+                    entry = queue.popleft()
+                due, rid, enter, entry_len, _ = entry
+                entry[4] = True
+                # a served deadline due by the horizon is stale: it is dropped
+                # now if first, else once it surfaces. One due later is no event
+                if due <= horizon:
+                    stale += 1
+                    if heap[0] is entry:
+                        while heap and heap[0][4]:
+                            pop(heap)
+                        deadline = heap[0][0] if heap else math.inf
                 acceptance_times.append(now)
                 issued_wait += now - enter
                 if collect_records:
                     records.append(RequestRecord(
-                        rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
-                service = now + next(epochs) if queue else math.inf
+                        rid, 1, enter, 1.0, entry_len, "accepted", now - enter, None))
+                service = now + next(epochs) if size else math.inf
             elif arrival <= deadline:
                 now = arrival
                 if now > horizon:
                     break
-                arrival = next(arrival_stream)[0]
+                arrival = next(arrival_stream)
                 arrivals += 1  # the arrival count is the request's id
-                n = len(queue)
+                n = size
                 entry_len = n + 1
                 if entry_len == len(join_chance):
                     join_chance.append(math.exp(-beta * entry_len / mu))
@@ -832,57 +835,54 @@ def isolated_queue_sim(params: QueueParams, horizon: float, seed: int,
                         records.append(RequestRecord(
                             arrivals, 1, now, 1.0, entry_len, "balked", 0.0, None))
                     continue
-                entry = [arrivals, now, False, entry_len]  # id, enter time, done
+                entry = [now + next(patience), arrivals, now, entry_len, False]
                 queue.append(entry)
-                if patience is not None:
-                    seq += 1
-                    due = now + next(patience)
-                    push(heap, (due, seq, entry))
-                    if due < deadline:
-                        deadline = due
+                size += 1
+                if alpha:
+                    push(heap, entry)
+                    deadline = heap[0][0]
                 if not n:
                     service = now + next(epochs)
-            else:  # an entry has one deadline, so one not done still waits
+            else:  # the first entry of the heap still waits: it reneges
                 now = deadline
                 if now > horizon:
                     break
-                entry = pop(heap)[2]
+                entry = heap[0]
+                entry[4] = True
+                while heap and heap[0][4]:
+                    pop(heap)
                 deadline = heap[0][0] if heap else math.inf
-                if entry[2]:
-                    stale += 1
-                    continue
-                n = len(queue)
-                queue.remove(entry)
-                if n == 1:  # no epoch serves the emptied queue: the next join draws one
+                n, size = size, size - 1
+                if not size:  # no epoch serves the emptied queue: the next join draws one
                     service = math.inf
                 reneges += 1
-                issued_wait += now - entry[1]
+                issued_wait += now - entry[2]
                 if collect_records:
                     records.append(RequestRecord(
-                        entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
+                        entry[1], 1, entry[2], 1.0, entry[3], "reneged", now - entry[2], None))
             # the queue leaves length n: its sojourn there adds its time, and visits n if positive
-            if not occupancy[n] and now > start:
+            dt = now - start
+            if not occupancy[n] and dt:
                 visits.append(n)
-            occupancy[n] += now - start
+            occupancy[n] += dt
             if n:
-                busy += now - start
+                busy += dt
             start = now
     finally:
         if collecting:
             gc.enable()
 
     # the last sojourn runs to the horizon
-    n = len(queue)
-    if not occupancy[n] and horizon > start:
-        visits.append(n)
-    occupancy[n] += horizon - start
-    if n:
+    if not occupancy[size] and horizon > start:
+        visits.append(size)
+    occupancy[size] += horizon - start
+    if size:
         busy += horizon - start
     return RunMetrics(
         n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
         replication=0, arrivals=[arrivals], balks=[balks],
         cap_rejections=[0], reneges=[reneges], acceptances=[len(acceptance_times)],
-        still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
+        still_waiting=[size], acceptance_times=[acceptance_times], records=records,
         occupancy={(n,): occupancy[n] for n in visits}, busy_time=[busy],
         queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
         issued_wait=issued_wait, stale_pops=stale,

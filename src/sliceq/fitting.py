@@ -28,8 +28,8 @@ class FitResult:
 
 
 def fit_geometric(samples) -> FitResult:
-    """MLE of a geometric distribution on {0, 1, 2, ...}: p = 1/(1 + mean)."""
-    xs = np.asarray(list(samples), dtype=float)
+    """MLE of a geometric law on {0, 1, 2, ...} from a sequence or array: p = 1/(1 + mean)."""
+    xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
         raise InvalidInputError(f"need at least two samples, not {xs.size}")
     if (xs < 0).any() or not np.isfinite(xs).all():
@@ -69,12 +69,12 @@ def kld_vs_geometric(counts, p_hat: float) -> float:
 
 
 def fit_exponential(samples) -> FitResult:
-    """MLE of an exponential rate, with a fat-tail diagnostic.
+    """MLE of an exponential rate from a sequence or array, with a fat-tail diagnostic.
 
     The diagnostic is the ratio of the empirical 99th percentile to the
     fitted one; values well above 1 flag a heavier-than-exponential tail.
     """
-    xs = np.asarray(list(samples), dtype=float)
+    xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
         raise InvalidInputError(f"need at least two samples, not {xs.size}")
     if (xs <= 0).any() or not np.isfinite(xs).all():

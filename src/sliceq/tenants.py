@@ -101,9 +101,8 @@ def renege_avg_wait(req, mean_wait: float) -> bool:
 
 
 def renege_blind(req, risk_factor: float) -> float:
-    """Maximum waiting time a tenant with no queue knowledge will accept."""
-    if risk_factor < 0:
-        raise InvalidInputError("risk_factor must be non-negative")
+    """Maximum waiting time a tenant with no queue knowledge will accept;
+    ``KnowledgeRegime`` keeps ``risk_factor`` non-negative."""
     if req.waiting_cost_rate <= 0:
         return math.inf
     budget = risk_factor * req.profit_rate * req.lifetime - req.issue_cost

@@ -4,14 +4,29 @@ linear solve, a literal pass-by-pass interpreter of the queue-serving
 algorithm, the full-knowledge tenant's expected wait and stay/renege rule
 written as plain loops, a run's issued-request tallies by a scan of its
 records, its occupancy law and time-averaged state, inverse-CDF lifetime
-draws and random preference columns drawn one permutation at a time."""
+draws, random preference columns drawn one permutation at a time and the
+isolated queue loop with served requests' deadlines popped as events."""
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
+from sliceq.engine import (
+    TAG_ARRIVAL,
+    TAG_BALK,
+    TAG_PATIENCE,
+    TAG_SERVICE,
+    RequestRecord,
+    RunMetrics,
+    arrival_windows,
+    block_draws,
+    substream,
+)
 from sliceq.errors import InvalidInputError
 
 
@@ -210,3 +225,130 @@ def permutation_columns(n_types: int, n_admissible: int, rng):
         body = rng.permutation(np.arange(1, n_types + 1))
         cols.append(tuple(int(x) for x in body) + (0,))
     return tuple(cols)
+
+
+def reference_isolated_queue_sim(params, horizon: float, seed: int,
+                                 collect_records: bool = True):
+    """An oracle for ``engine.isolated_queue_sim``, which must agree with it
+    in every draw and result field: arrivals come from ``arrival_windows``,
+    the heap holds (due, seq, entry) deadline tuples, and a served request's
+    deadline is popped as an event of its own and counted stale then."""
+    if not 0 < horizon < math.inf:
+        raise InvalidInputError("horizon must be positive and finite")
+    lam, mu = params.arrival_rate, params.service_rate
+    alpha, beta = params.reneging_rate, params.balking_exponent
+    arrival_stream = chain.from_iterable(
+        arrival_windows([substream(seed, 0, TAG_ARRIVAL)], [1.0 / lam]))
+    epochs = block_draws(substream(seed, 0, TAG_SERVICE).exponential, 1.0 / mu)
+    coins = block_draws(substream(seed, 0, TAG_BALK).random)
+    patience = (block_draws(substream(seed, 0, TAG_PATIENCE).exponential, 1.0 / alpha)
+                if alpha > 0 else None)
+
+    # one flat loop: the counters stay local until the run ends
+    records: list = []
+    acceptance_times: list[float] = []
+    # the join chance at each entry length and the time at each queue length,
+    # both grown as arrivals first meet a length, and the lengths in
+    # first-visit order: a length is first visited when its first sojourn of
+    # positive time ends
+    join_chance = [1.0]
+    occupancy = [0.0]
+    visits: list[int] = []
+    arrivals = balks = reneges = stale = 0
+    busy = issued_wait = 0.0
+    queue: deque = deque()
+    start = 0.0  # when the queue took its present length
+    # the one live service epoch (inf while none is), and the heap of
+    # (time, seq, entry) deadlines, the first due at ``deadline``
+    service = deadline = math.inf
+    seq = 0
+    heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
+
+    # the earliest event comes first; at one time a service epoch, then an
+    # arrival, then the deadlines in push order
+    arrival = next(arrival_stream)[0]
+    while True:
+        if service <= arrival and service <= deadline:
+            now = service
+            if now > horizon:
+                break
+            n = len(queue)
+            entry = queue.popleft()
+            rid, enter = entry[0], entry[1]
+            entry[2] = True
+            acceptance_times.append(now)
+            issued_wait += now - enter
+            if collect_records:
+                records.append(RequestRecord(
+                    rid, 1, enter, 1.0, entry[3], "accepted", now - enter, None))
+            service = now + next(epochs) if queue else math.inf
+        elif arrival <= deadline:
+            now = arrival
+            if now > horizon:
+                break
+            arrival = next(arrival_stream)[0]
+            arrivals += 1  # the arrival count is the request's id
+            n = len(queue)
+            entry_len = n + 1
+            if entry_len == len(join_chance):
+                join_chance.append(math.exp(-beta * entry_len / mu))
+                occupancy.append(0.0)
+            if next(coins) > join_chance[entry_len]:
+                balks += 1
+                if collect_records:
+                    records.append(RequestRecord(
+                        arrivals, 1, now, 1.0, entry_len, "balked", 0.0, None))
+                continue
+            entry = [arrivals, now, False, entry_len]  # id, enter time, done
+            queue.append(entry)
+            if patience is not None:
+                seq += 1
+                due = now + next(patience)
+                push(heap, (due, seq, entry))
+                if due < deadline:
+                    deadline = due
+            if not n:
+                service = now + next(epochs)
+        else:  # an entry has one deadline, so one not done still waits
+            now = deadline
+            if now > horizon:
+                break
+            entry = pop(heap)[2]
+            deadline = heap[0][0] if heap else math.inf
+            if entry[2]:
+                stale += 1
+                continue
+            n = len(queue)
+            queue.remove(entry)
+            if n == 1:  # no epoch serves the emptied queue: the next join draws one
+                service = math.inf
+            reneges += 1
+            issued_wait += now - entry[1]
+            if collect_records:
+                records.append(RequestRecord(
+                    entry[0], 1, entry[1], 1.0, entry[3], "reneged", now - entry[1], None))
+        # the queue leaves length n: its sojourn there adds its time, and visits n if positive
+        if not occupancy[n] and now > start:
+            visits.append(n)
+        occupancy[n] += now - start
+        if n:
+            busy += now - start
+        start = now
+
+    # the last sojourn runs to the horizon
+    n = len(queue)
+    if not occupancy[n] and horizon > start:
+        visits.append(n)
+    occupancy[n] += horizon - start
+    if n:
+        busy += horizon - start
+    return RunMetrics(
+        n_types=1, horizon=horizon, warmup_time=0.0, master_seed=seed,
+        replication=0, arrivals=[arrivals], balks=[balks],
+        cap_rejections=[0], reneges=[reneges], acceptances=[len(acceptance_times)],
+        still_waiting=[len(queue)], acceptance_times=[acceptance_times], records=records,
+        occupancy={(n,): occupancy[n] for n in visits}, busy_time=[busy],
+        queued_accepts=[0], max_assigned=[0.0], profit=[0.0], profiting=[0],
+        issued_wait=issued_wait, stale_pops=stale,
+    )

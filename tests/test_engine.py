@@ -48,10 +48,12 @@ from sliceq.tenants import (
     renege_serving_rate,
 )
 
+import helpers
 from helpers import (
     expected_wait,
     issued_tallies,
     occupancy_pmf,
+    reference_isolated_queue_sim,
     renege_full,
     state_mean,
     tv_from_dict,
@@ -567,6 +569,93 @@ def test_isolated_ties_go_service_then_arrival_then_deadline(monkeypatch):
     assert m.acceptance_times == [[3.0]]
     assert list(m.occupancy.items()) == [((0,), 1.5), ((1,), 2.25)]
     assert m.busy_time == [2.25]
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.0, 0.5, 0.3), (3.0, 1.0, 0.05, 0.01)])
+def test_isolated_stale_pops_are_deadlines_of_served_requests(params):
+    # every joined request draws its patience in join order; a served one
+    # whose deadline falls by the horizon is counted stale, whether or not it
+    # ever reaches the top of the heap
+    params, horizon, seed = QueueParams(*params), 2e3, 7
+    m = isolated_queue_sim(params, horizon=horizon, seed=seed)
+    by_id = {r.request_id: r for r in m.records}
+    joined = [rid for rid in range(1, m.arrivals[0] + 1)
+              if rid not in by_id or by_id[rid].disposition != "balked"]
+    assert len(joined) == m.joined[0]
+    patience = substream(seed, 0, TAG_PATIENCE).exponential(
+        1.0 / params.reneging_rate, len(joined)).tolist()
+    due = 0
+    for rid, p in zip(joined, patience):
+        r = by_id.get(rid)  # None while still waiting
+        if r is not None and r.disposition == "reneged":  # the draws line up
+            assert r.wait == r.enter_time + p - r.enter_time
+        elif r is not None and r.disposition == "accepted":
+            due += r.enter_time + p <= horizon
+    assert sum(m.reneges) > 0
+    assert m.stale_pops == due > 0
+
+
+def _fixed_isolated_runs(draws, monkeypatch, params, horizon):
+    """An isolated run and its reference on set draws."""
+    def fixed(seed, rep, tag):
+        return _FixedDraws(draws[tag])
+
+    monkeypatch.setattr(engine, "substream", fixed)
+    monkeypatch.setattr(helpers, "substream", fixed)
+    return (isolated_queue_sim(QueueParams(*params), horizon=horizon, seed=0),
+            reference_isolated_queue_sim(QueueParams(*params), horizon=horizon, seed=0))
+
+
+def test_isolated_deadline_ties_go_to_the_lower_id(monkeypatch):
+    # request 2 joins at 2 with patience 1.5, request 1 at 1 with patience 2.5:
+    # both fall due at 3.5, and the lower id reneges first
+    draws = {TAG_ARRIVAL: [1.0, 1.0], TAG_SERVICE: [], TAG_PATIENCE: [2.5, 1.5], TAG_BALK: []}
+    m, ref = _fixed_isolated_runs(draws, monkeypatch, (1.0, 1.0, 1.0, 0.0), 4.0)
+    assert [(r.request_id, r.disposition, r.wait) for r in m.records] \
+        == [(1, "reneged", 2.5), (2, "reneged", 1.5)]
+    assert m.records == ref.records and m.stale_pops == ref.stale_pops == 0
+
+
+@pytest.mark.parametrize("after", [False, True])
+def test_isolated_served_deadline_at_the_horizon_is_stale(after, monkeypatch):
+    # requests 1 and 2 join at 1 and 2 and are served at 1.5 and 3; request 1
+    # falls due at the horizon, 4, and counts stale; request 2 falls due just
+    # after it and does not, unless the horizon is that later time
+    late = math.nextafter(4.0, math.inf)
+    draws = {TAG_ARRIVAL: [1.0, 1.0], TAG_SERVICE: [0.5, 1.0],
+             TAG_PATIENCE: [3.0, late - 2.0], TAG_BALK: []}
+    m, ref = _fixed_isolated_runs(draws, monkeypatch, (1.0, 1.0, 1.0, 0.0),
+                                  late if after else 4.0)
+    assert m.acceptance_times == [[1.5, 3.0]] and m.reneges == [0]
+    assert m.stale_pops == ref.stale_pops == 1 + after
+
+
+def _isolated_result(m):
+    return (m.records, m.acceptance_times, list(m.occupancy.items()), m.busy_time,
+            m.arrivals, m.balks, m.reneges, m.acceptances, m.still_waiting,
+            m.issued_wait, m.stale_pops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=st.floats(0.3, 5.0), mu=st.floats(0.3, 5.0),
+       alpha=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), beta=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16), horizon=st.floats(1.0, 500.0),
+       collect_records=st.booleans())
+def test_isolated_run_equals_the_reference_loop(lam, mu, alpha, beta, seed, horizon,
+                                                collect_records):
+    # the reference pops each served request's deadline as an event, and takes
+    # its arrivals from arrival_windows
+    params = QueueParams(lam, mu, alpha, beta)
+    assert _isolated_result(isolated_queue_sim(params, horizon, seed, collect_records)) \
+        == _isolated_result(reference_isolated_queue_sim(params, horizon, seed, collect_records))
+
+
+def test_isolated_long_queue_equals_the_reference_loop():
+    params = QueueParams(10.0, 1.0, 0.05, 0.0)
+    m = isolated_queue_sim(params, horizon=300.0, seed=3)
+    assert max(m.occupancy)[0] > 100 and m.stale_pops > 0
+    assert _isolated_result(m) == _isolated_result(
+        reference_isolated_queue_sim(params, horizon=300.0, seed=3))
 
 
 def _queue_path_from_records(m, params, seed):

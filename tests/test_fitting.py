@@ -125,6 +125,19 @@ def test_fit_exponential_validation():
             fit_exponential([1.0, bad])
 
 
+@pytest.mark.parametrize("fit", [fit_geometric, fit_exponential])
+def test_fits_read_lists_and_arrays_alike(fit):
+    # a list, an integer array and a float array of the same gaps fit alike,
+    # and as their element-by-element copy does
+    gaps = np.floor(np.random.default_rng(4).exponential(3.0, 4300)).astype(int) + 1
+    expected = fit(np.asarray(list(gaps), dtype=float))
+    for samples in (gaps.tolist(), gaps, gaps.astype(float)):
+        assert fit(samples) == expected
+    for bad in ([], [1.0], [1.0, -1.0], [1.0, math.nan], np.array([1.0, math.inf])):
+        with pytest.raises(InvalidInputError):
+            fit(bad)
+
+
 def test_floor_binned():
     assert list(floor_binned([0.2, 1.7, 2.0, 5.9])) == [0, 1, 2, 5]
     with pytest.raises(InvalidInputError):
