@@ -122,13 +122,6 @@ def cmd_simulate(args) -> int:
     region = enumerate_regions(scenario)
     strategy = load_strategy(args.strategy, scenario, region, args.seed)
     config = _config_from_args(args, warmup_fraction=args.warmup)
-    out = OutputDir.create(
-        args.out, args.force,
-        command="simulate", seed=args.seed,
-        scenario_fingerprint=scenario.fingerprint(),
-        argv=sys.argv[1:],
-    )
-
     rows = []
 
     def request_rows(events):
@@ -146,17 +139,16 @@ def cmd_simulate(args) -> int:
                        "" if r.end_profit is None else f"{r.end_profit:.9g}"]
             del m
 
-    if args.trace:
-        out.manifest["outputs"].append("events.jsonl")
-    with open(out.path / "events.jsonl", "w") if args.trace else contextlib.nullcontext() as events:
-        out.write_csv("requests.csv", ["replication", "request_id", "slice_type", "enter_time",
-                                       "lifetime", "entry_queue_length", "disposition",
-                                       "wait", "end_profit"], request_rows(events))
-
-    header = list(rows[0].keys())
-    out.write_csv("metrics.csv", header,
-                  [[row[k] for k in header] for row in rows])
-    out.finalize()
+    with OutputDir.open(args.out, args.force, command="simulate", seed=args.seed,
+                        scenario_fingerprint=scenario.fingerprint(), argv=sys.argv[1:]) as out:
+        if args.trace:
+            out.manifest["outputs"].append("events.jsonl")
+        with open(out.path / "events.jsonl", "w") if args.trace else contextlib.nullcontext() as ev:
+            out.write_csv("requests.csv", ["replication", "request_id", "slice_type", "enter_time",
+                                           "lifetime", "entry_queue_length", "disposition",
+                                           "wait", "end_profit"], request_rows(ev))
+        header = list(rows[0].keys())
+        out.write_csv("metrics.csv", header, [[row[k] for k in header] for row in rows])
     print(f"wrote {out.path}/metrics.csv ({len(rows)} replications)")
     return EXIT_OK
 
@@ -206,10 +198,6 @@ def cmd_markov(args) -> int:
     empty_probs = None
     if args.empty_probs:
         empty_probs = [_number(x, "--empty-probs value") for x in args.empty_probs.split(",")]
-        if len(empty_probs) != scenario.n_types:
-            raise InvalidInputError(
-                "--empty-probs needs one value per slice type"
-            )
         if args.fixed_point_rounds != 0:
             raise InvalidInputError("--empty-probs leaves --fixed-point-rounds nothing to refine")
     result = analytic_evaluation(

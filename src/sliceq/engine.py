@@ -374,7 +374,13 @@ def _stays_on_expected_wait(sim, i: int, mu):
     return lambda req, pos: req.profit_rate * req.lifetime - req.waiting_cost_rate * ew[pos] >= 0.0
 
 
-# knowledge regime -> (entrance rule, stay rule)
+# knowledge regime -> (entrance rule, stay rule). Until a queue has seen
+# MIN_SERVICE_OBSERVATIONS reneges, the renege rates that only full tenants read
+# are published as zero, so ew[l] = l/mu and the full rules are the serving-rate
+# rules up to rounding. On the demo that gate seldom opens: at horizon 1000 (seeds
+# 0-5, two random strategies, empty and random_full starts) 23 of 24 run pairs of
+# the two regimes gave identical records; the other one reneged 14 times (full)
+# against 13, and the pinned gate-open run reneges 27 times (full) against 28.
 _REGIME_RULES = {
     "patient": (None, None),
     "blind": (None, None),

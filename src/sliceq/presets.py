@@ -2,11 +2,12 @@
 
 Each preset writes CSV/JSON files plus a manifest (scenario hash, seed,
 scale, versions) sufficient to regenerate the data. ``scale`` multiplies
-campaign sizes (strategy counts); Monte-Carlo round counts are preset
-parameters that can be overridden explicitly.
+campaign sizes (strategy counts) and is their only setting; the size of each
+run is fixed below.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import shutil
@@ -40,18 +41,20 @@ TABLE3_REGIMES = (
     ("serving_rate", KnowledgeRegime("serving_rate")),
     ("full", KnowledgeRegime("full")),
 )
+TABLE3_HORIZON = 1000.0
+# fig4-fig6 pool this many runs of this horizon per strategy
+ROUNDS, ROUND_HORIZON = 25, 40.0
 
 
 def scaled(base: int, scale: float) -> int:
     return max(1, round(base * scale))
 
 
-def _random_strategies(region, seed: int, scale: float, n_strategies: int | None) -> list:
-    """The campaign's random strategies: ``n_strategies`` of them, or 1000
-    scaled, drawn from the presets' strategy stream of ``seed``."""
-    n_strat = n_strategies if n_strategies is not None else scaled(1000, scale)
+def _random_strategies(region, seed: int, scale: float) -> list:
+    """The campaign's random strategies, 1000 scaled, drawn from the presets'
+    strategy stream of ``seed``."""
     rng = substream(seed, 0, 998)
-    return [random_strategy(region, rng) for _ in range(n_strat)]
+    return [random_strategy(region, rng) for _ in range(scaled(1000, scale))]
 
 
 @dataclass
@@ -69,6 +72,22 @@ class OutputDir:
         p.mkdir(parents=True, exist_ok=True)
         manifest = {"package_version": __version__, "outputs": [], **manifest_fields}
         return cls(path=p, manifest=manifest)
+
+    @classmethod
+    @contextlib.contextmanager
+    def open(cls, path, force: bool, **manifest_fields):
+        """``create`` for one run: the manifest is written when the run
+        returns, and a run that fails removes the topmost directory it made."""
+        made = next((p for p in reversed((Path(path), *Path(path).parents))
+                     if not p.exists()), None)
+        try:
+            out = cls.create(path, force, **manifest_fields)
+            yield out
+            out.finalize()
+        except BaseException:
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            raise
 
     def write_csv(self, name: str, header, rows) -> None:
         with open(self.path / name, "w", newline="") as fh:
@@ -90,12 +109,11 @@ class OutputDir:
 
 
 def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
-               n_strategies: int | None = None, horizon: float = 1000.0,
                progress=None) -> dict:
     """Per-regime tenant-profit campaign: each regime runs the same random
     strategies for the full horizon; profits are pooled over runs."""
     region = enumerate_regions(scenario)
-    strategies = _random_strategies(region, seed, scale, n_strategies)
+    strategies = _random_strategies(region, seed, scale)
     n_strat = len(strategies)
 
     detail_rows = []
@@ -104,7 +122,7 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
         # per type: issued requests, summed end profit, profiting requests
         pooled = [[0] * scenario.n_types for _ in range(3)]
         for i, strat in enumerate(strategies):
-            cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
+            cfg = SimConfig(horizon=TABLE3_HORIZON, master_seed=seed, queue_cap=100,
                             knowledge=regime, initial_state="empty",
                             collect_records=False)
             metrics = run_replication(scenario, strat, cfg, replication=i,
@@ -141,8 +159,7 @@ def run_table3(scenario: Scenario, out: OutputDir, scale: float, seed: int,
     return {"n_strategies": n_strat, "regimes": [r for r, _ in TABLE3_REGIMES]}
 
 
-def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
-                  regime, label, progress=None):
+def _iat_fit_rows(scenario, region, strategies, seed, regime, label, progress):
     """One geometric fit per (strategy, queue), pooling the Monte-Carlo
     rounds of that strategy, and the arm's summed counts of its capped queues."""
     rows = []
@@ -150,13 +167,13 @@ def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
     total = 0
     counts = dict.fromkeys(("arrivals", "cap_rejections", "still_waiting"), 0)
     for i, strat in enumerate(strategies):
-        cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
+        cfg = SimConfig(horizon=ROUND_HORIZON, master_seed=seed, queue_cap=100,
                         knowledge=regime, initial_state="random_full",
                         collect_records=False)
         pooled = [[] for _ in range(scenario.n_types)]
-        for r in range(rounds):
+        for r in range(ROUNDS):
             metrics = run_replication(scenario, strat, cfg,
-                                      replication=i * rounds + r, region=region)
+                                      replication=i * ROUNDS + r, region=region)
             for t in range(scenario.n_types):
                 pooled[t].extend(metrics.inter_acceptance_times(t + 1))
             for key in counts:
@@ -182,20 +199,17 @@ def _iat_fit_rows(scenario, region, strategies, seed, rounds, horizon,
 
 
 def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
-                 n_strategies: int | None = None, rounds: int = 25,
-                 horizon: float = 40.0, progress=None) -> dict:
+                 progress=None) -> dict:
     """Geometric fits of per-queue inter-acceptance times, patient tenants
     against fully informed impatient ones."""
     region = enumerate_regions(scenario)
-    strategies = _random_strategies(region, seed, scale, n_strategies)
+    strategies = _random_strategies(region, seed, scale)
     n_strat = len(strategies)
 
     rows_patient, rate_patient, counts_patient = _iat_fit_rows(
-        scenario, region, strategies, seed, rounds, horizon,
-        KnowledgeRegime("patient"), "patient", progress)
+        scenario, region, strategies, seed, KnowledgeRegime("patient"), "patient", progress)
     rows_full, rate_full, counts_full = _iat_fit_rows(
-        scenario, region, strategies, seed, rounds, horizon,
-        KnowledgeRegime("full"), "impatient", progress)
+        scenario, region, strategies, seed, KnowledgeRegime("full"), "impatient", progress)
 
     out.write_csv("fig4_iat_fits.csv",
                   ["tenancy", "strategy", "queue", "n_iat",
@@ -207,21 +221,19 @@ def run_fig4_iat(scenario: Scenario, out: OutputDir, scale: float, seed: int,
         "patient_counts": counts_patient,
         "impatient_counts": counts_full,
         "n_strategies": n_strat,
-        "rounds": rounds,
-        "horizon": horizon,
+        "rounds": ROUNDS,
+        "horizon": ROUND_HORIZON,
     }
     out.write_json("fig4_summary.json", summary)
     return summary
 
 
 def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
-                      seed: int, n_strategies: int | None = None,
-                      rounds: int = 25, horizon: float = 40.0,
-                      progress=None) -> dict:
+                      seed: int, progress=None) -> dict:
     """Reneging-time distributions under random strategies and under a fixed
     prefer-type-2 strategy, with exponential fits and tail diagnostics."""
     region = enumerate_regions(scenario)
-    random_strategies = _random_strategies(region, seed, scale, n_strategies)
+    random_strategies = _random_strategies(region, seed, scale)
     n_strat = len(random_strategies)
     regime = KnowledgeRegime("full")
 
@@ -236,11 +248,11 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
     for label, strategies in campaigns.items():
         pools: list[list[float]] = [[] for _ in range(scenario.n_types)]
         for i, strat in enumerate(strategies):
-            cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
+            cfg = SimConfig(horizon=ROUND_HORIZON, master_seed=seed, queue_cap=100,
                             knowledge=regime, initial_state="random_full")
-            for r in range(rounds):
+            for r in range(ROUNDS):
                 metrics = run_replication(scenario, strat, cfg,
-                                          replication=i * rounds + r,
+                                          replication=i * ROUNDS + r,
                                           region=region)
                 for rec in metrics.records:
                     if rec.disposition == "reneged" and rec.wait > 0:
@@ -271,14 +283,13 @@ def run_fig5_reneging(scenario: Scenario, out: OutputDir, scale: float,
 
 
 def run_fig6_search(scenario: Scenario, out: OutputDir, scale: float,
-                    seed: int, n_strategies: int | None = None,
-                    rounds: int = 25, horizon: float = 40.0, progress=None) -> dict:
+                    seed: int, progress=None) -> dict:
     """Random-strategy search with naive and greedy single-queue benchmarks."""
     region = enumerate_regions(scenario)
-    n_strat = n_strategies if n_strategies is not None else scaled(10_000, scale)
-    cfg = SimConfig(horizon=horizon, master_seed=seed, queue_cap=100,
+    n_strat = scaled(10_000, scale)
+    cfg = SimConfig(horizon=ROUND_HORIZON, master_seed=seed, queue_cap=100,
                     knowledge=KnowledgeRegime("full"),
-                    initial_state="random_full", replications=rounds)
+                    initial_state="random_full", replications=ROUNDS)
     rows = strategy_search(scenario, region, n_strat, cfg)
     out.write_csv("fig6_search.csv", SEARCH_CSV_HEADER, [r.csv_row() for r in rows])
     best_random = max((r for r in rows if r.kind == "random"),
@@ -286,7 +297,7 @@ def run_fig6_search(scenario: Scenario, out: OutputDir, scale: float,
     greedy = next(r for r in rows if r.kind == "greedy_single")
     summary = {
         "n_strategies": n_strat,
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "best_random_u_sigma": best_random.u_sigma,
         "greedy_single_u_sigma": greedy.u_sigma,
     }
@@ -318,8 +329,8 @@ PRESETS = {
     "fig4_iat": run_fig4_iat,
     "fig5_reneging": run_fig5_reneging,
     "fig6_search": run_fig6_search,
-    "regions": lambda scenario, out, *_, **__: run_regions_report(scenario, out,
-                                                                  dump_states=True),
+    "regions": lambda scenario, out, scale, seed, progress=None: run_regions_report(
+        scenario, out, dump_states=True),
 }
 
 
@@ -329,17 +340,8 @@ def run_preset(name: str, scenario: Scenario, out_path, scale: float,
         raise InvalidInputError(f"unknown preset {name!r}")
     if not 0 < scale <= 1:
         raise InvalidInputError("scale must lie in (0, 1]")
-    # a preset that fails removes the topmost directory it made, if any
-    made = next((p for p in reversed((Path(out_path), *Path(out_path).parents))
-                 if not p.exists()), None)
-    try:
-        out = OutputDir.create(out_path, force, preset=name, scale=scale, seed=seed,
-                               scenario_fingerprint=scenario.fingerprint(), argv=sys.argv[1:])
+    with OutputDir.open(out_path, force, preset=name, scale=scale, seed=seed,
+                        scenario_fingerprint=scenario.fingerprint(), argv=sys.argv[1:]) as out:
         summary = PRESETS[name](scenario, out, scale, seed, progress=progress)
         out.manifest["summary"] = summary
-        out.finalize()
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
     return summary

@@ -10,6 +10,7 @@ import pytest
 from sliceq import cli, core, engine
 from sliceq.cli import main
 from sliceq.core import demo_scenario, enumerate_regions, tiny_scenario
+from sliceq.errors import InvalidInputError
 from sliceq.markov import analytic_evaluation
 from sliceq.tenants import KnowledgeRegime
 
@@ -462,6 +463,30 @@ def test_a_failed_preset_leaves_no_directory_it_made(tmp_path, capsys, out):
     assert "all-zero cost vector" in err and out_text == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "zero.json"]
     assert not any((tmp_path / "empty").iterdir())
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, InvalidInputError])
+@pytest.mark.parametrize("out", ["made/for/run", "empty"])
+def test_a_failed_simulate_leaves_no_directory_it_made(tmp_path, capsys, monkeypatch,
+                                                       error, out):
+    # a run stopped at its second replication left the first one's requests
+    # behind, and a rerun without --force was refused. A directory that was
+    # there before stays
+    def second_fails(scenario, strategy, config, rep, **kwargs):
+        if rep == 1:
+            raise error("stopped")
+        return engine.run_replication(scenario, strategy, config, rep, **kwargs)
+
+    monkeypatch.setattr(cli, "run_replication", second_fails)
+    (tmp_path / "empty").mkdir()
+    argv = ["simulate", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
+            "--horizon", "50", "--replications", "3", "--out", str(tmp_path / out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert _run(capsys, *argv)[0] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["empty"]
 
 
 def _file_argv(tmp_path, text, *argv):

@@ -1,15 +1,18 @@
 """Experiment presets at miniature scales: schemas, manifests, determinism."""
 import csv
+import inspect
 import json
 import tracemalloc
 
 import pytest
 
+from sliceq import presets
 from sliceq.core import Scenario, SliceType, demo_scenario, enumerate_regions, random_strategy
 from sliceq.engine import SimConfig, run_replication, substream
 from sliceq.errors import InvalidInputError
 from sliceq.presets import (
     OutputDir,
+    PRESETS,
     run_fig4_iat,
     run_fig5_reneging,
     run_fig6_search,
@@ -37,8 +40,7 @@ def test_output_dir_refuses_nonempty(tmp_path):
 def test_table3_schema(tmp_path):
     sc = demo_scenario()
     out = OutputDir.create(tmp_path / "t3", force=False)
-    summary = run_table3(sc, out, scale=1.0, seed=2, n_strategies=1,
-                         horizon=30.0)
+    summary = run_table3(sc, out, scale=1 / 1000, seed=2)
     out.finalize()
     with open(tmp_path / "t3" / "table3_summary.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -64,7 +66,7 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_table3_memory_does_not_grow_with_strategies(tmp_path):
+def test_table3_memory_does_not_grow_with_strategies(tmp_path, monkeypatch):
     # A strategy adds its own columns and CSV rows, tens of kB, and no
     # request. Holding every record of a regime would add one run's records
     # per strategy, less the run at n=1 that overlaps the previous regime's
@@ -73,6 +75,7 @@ def test_table3_memory_does_not_grow_with_strategies(tmp_path):
     sc = demo_scenario()
     region = enumerate_regions(sc)
     horizon = 100.0
+    monkeypatch.setattr(presets, "TABLE3_HORIZON", horizon)
     strat = random_strategy(region, substream(2, 0, 998))
     held = [_traced(lambda: run_replication(
         sc, strat, SimConfig(horizon=horizon, master_seed=2, collect_records=collect),
@@ -80,16 +83,14 @@ def test_table3_memory_does_not_grow_with_strategies(tmp_path):
     record_bytes = held[0] - held[1]
     assert record_bytes > 0
     peaks = [_traced(lambda: run_table3(sc, OutputDir.create(tmp_path / str(n), force=False),
-                                        scale=1.0, seed=2, n_strategies=n,
-                                        horizon=horizon))[1] for n in (1, 4)]
+                                        scale=n / 1000, seed=2))[1] for n in (1, 4)]
     assert peaks[1] - peaks[0] < record_bytes
 
 
 def test_fig5_schema(tmp_path):
     sc = demo_scenario()
     out = OutputDir.create(tmp_path / "f5", force=False)
-    run_fig5_reneging(sc, out, scale=1.0, seed=4, n_strategies=2, rounds=3,
-                      horizon=40.0)
+    run_fig5_reneging(sc, out, scale=2 / 1000, seed=4)
     out.finalize()
     with open(tmp_path / "f5" / "fig5_fits.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -113,7 +114,7 @@ def test_fig4_and_fig5_leave_a_queue_with_under_two_samples_unfitted(tmp_path):
         SliceType(cost=(0.1,), arrival_rate=1e-9, release_rate=0.5,
                   waiting_cost_rate=1.0, profit_rate=4.0)))
     out = OutputDir.create(tmp_path / "f4", force=False)
-    summary = run_fig4_iat(sc, out, scale=1.0, seed=3, n_strategies=1, rounds=2, horizon=40.0)
+    summary = run_fig4_iat(sc, out, scale=1 / 1000, seed=3)
     rows = _csv_rows(tmp_path / "f4" / "fig4_iat_fits.csv")
     assert [r for r in rows if r[2] == "2"] == [
         ["patient", "0", "2", "0", "", "", "0"], ["impatient", "0", "2", "0", "", "", "0"]]
@@ -122,8 +123,7 @@ def test_fig4_and_fig5_leave_a_queue_with_under_two_samples_unfitted(tmp_path):
     assert summary["patient_success_rate"] == summary["impatient_success_rate"] == 0.5
 
     out = OutputDir.create(tmp_path / "f5", force=False)
-    summary = run_fig5_reneging(sc, out, scale=1.0, seed=3, n_strategies=1, rounds=2,
-                                horizon=40.0)
+    summary = run_fig5_reneging(sc, out, scale=1 / 1000, seed=3)
     rows = _csv_rows(tmp_path / "f5" / "fig5_fits.csv")
     assert [r for r in rows if r[1] == "2"] == [["random", "2", "0", "", ""],
                                                 ["prefer2", "2", "0", "", ""]]
@@ -135,8 +135,7 @@ def test_fig4_and_fig5_leave_a_queue_with_under_two_samples_unfitted(tmp_path):
 def test_fig6_schema_and_benchmarks(tmp_path):
     sc = demo_scenario()
     out = OutputDir.create(tmp_path / "f6", force=False)
-    summary = run_fig6_search(sc, out, scale=1.0, seed=5, n_strategies=3,
-                              rounds=1, horizon=10.0)
+    summary = run_fig6_search(sc, out, scale=3 / 10000, seed=5)
     out.finalize()
     with open(tmp_path / "f6" / "fig6_search.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -145,6 +144,14 @@ def test_fig6_schema_and_benchmarks(tmp_path):
     for bench in ("prefer1", "prefer2", "greedy_single"):
         assert kinds.count(bench) == 1
     assert "best_random_u_sigma" in summary
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_runner_takes_only_what_run_preset_passes(name):
+    # so a campaign's size can only come from a value the manifest records
+    params = inspect.signature(PRESETS[name]).parameters
+    assert list(params) == ["scenario", "out", "scale", "seed", "progress"]
+    assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 4 + [None]
 
 
 def test_manifest_contents(tmp_path):
