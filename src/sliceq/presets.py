@@ -77,9 +77,11 @@ class OutputDir:
     @contextlib.contextmanager
     def open(cls, path, force: bool, **manifest_fields):
         """``create`` for one run: the manifest is written when the run
-        returns, and a run that fails removes the topmost directory it made."""
+        returns. A run that fails removes the topmost directory it made, or,
+        in a directory that was already there, the outputs it listed."""
         made = next((p for p in reversed((Path(path), *Path(path).parents))
                      if not p.exists()), None)
+        out = None
         try:
             out = cls.create(path, force, **manifest_fields)
             yield out
@@ -87,20 +89,24 @@ class OutputDir:
         except BaseException:
             if made is not None:
                 shutil.rmtree(made, ignore_errors=True)
+            elif out is not None:
+                for name in out.manifest["outputs"]:
+                    (out.path / name).unlink(missing_ok=True)
             raise
 
+    # each output is listed before it is opened, so a failed run can remove it
     def write_csv(self, name: str, header, rows) -> None:
+        self.manifest["outputs"].append(name)
         with open(self.path / name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        self.manifest["outputs"].append(name)
 
     def write_json(self, name: str, payload) -> None:
+        self.manifest["outputs"].append(name)
         with open(self.path / name, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        self.manifest["outputs"].append(name)
 
     def finalize(self) -> None:
         with open(self.path / "manifest.json", "w") as fh:

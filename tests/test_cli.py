@@ -489,6 +489,43 @@ def test_a_failed_simulate_leaves_no_directory_it_made(tmp_path, capsys, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["empty"]
 
 
+def _simulate_failing_at_second_replication(monkeypatch, out, *options):
+    """argv of a three-replication ``simulate`` into ``out`` whose second
+    replication raises, with ``options`` appended."""
+    def second_fails(scenario, strategy, config, rep, **kwargs):
+        if rep == 1:
+            raise InvalidInputError("stopped")
+        return engine.run_replication(scenario, strategy, config, rep, **kwargs)
+
+    monkeypatch.setattr(cli, "run_replication", second_fails)
+    return ["simulate", "--scenario", "builtin:tiny", "--strategy", "naive:1,2,0",
+            "--horizon", "50", "--replications", "3", "--out", str(out), *options]
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_a_failed_simulate_into_an_empty_directory_leaves_it_empty(tmp_path, capsys,
+                                                                   monkeypatch, trace):
+    # the run's partial requests.csv stayed behind, and a rerun without
+    # --force into the once-empty directory was refused
+    (tmp_path / "empty").mkdir()
+    argv = _simulate_failing_at_second_replication(monkeypatch, tmp_path / "empty", *trace)
+    assert _run(capsys, *argv)[0] == 2
+    assert not any((tmp_path / "empty").iterdir())
+    monkeypatch.setattr(cli, "run_replication", engine.run_replication)
+    assert _run(capsys, *argv)[0] == 0
+    assert (tmp_path / "empty" / "manifest.json").exists()
+
+
+def test_a_failed_forced_run_keeps_files_it_did_not_write(tmp_path, capsys, monkeypatch):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("earlier work\n")
+    argv = _simulate_failing_at_second_replication(monkeypatch, kept, "--force", "--trace")
+    assert _run(capsys, *argv)[0] == 2
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "earlier work\n"
+
+
 def _file_argv(tmp_path, text, *argv):
     """``argv`` with "{path}" standing for a file that holds ``text``, which
     may be bytes."""

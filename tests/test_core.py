@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceq import core
 from sliceq.core import (
@@ -49,6 +51,39 @@ def test_demo_region_matches_exact_arithmetic():
     assert reg.n_admissible == len(adm)
     assert set(reg.feasible) == feas
     assert set(reg.feasible[:reg.n_admissible]) == adm
+
+
+@st.composite
+def decimal_cost_scenarios(draw):
+    """1-3 types on 1-2 unit resources with costs k/den. Each type takes at
+    least a sixth of some resource, so a region has at most 7^3 states."""
+    m = draw(st.integers(1, 2))
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        dens = [draw(st.sampled_from([3, 7, 10, 20, 50, 60, 100])) for _ in range(m)]
+        cost = [draw(st.integers(0, den)) / den for den in dens]
+        heavy = draw(st.integers(0, m - 1))
+        cost[heavy] = draw(st.integers(-(-dens[heavy] // 6), dens[heavy])) / dens[heavy]
+        types.append(SliceType(cost=tuple(cost), arrival_rate=1, release_rate=1,
+                               profit_rate=1))
+    return Scenario(resources=(1.0,) * m, slice_types=tuple(types))
+
+
+@settings(max_examples=200, deadline=None)
+@given(decimal_cost_scenarios())
+def test_random_regions_match_exact_arithmetic(sc):
+    reg = enumerate_regions(sc)
+    feas, adm = rational_regions(sc.resources, [t.cost for t in sc.slice_types])
+    assert set(reg.feasible) == feas
+    assert set(reg.feasible[:reg.n_admissible]) == adm and reg.n_admissible == len(adm)
+    for block in (reg.feasible[:reg.n_admissible], reg.feasible[reg.n_admissible:]):
+        assert block == sorted(block)
+    position = {s: i for i, s in enumerate(reg.feasible)}
+    for i, s in enumerate(reg.feasible):
+        for t in range(sc.n_types):
+            up, down = (s[:t] + (s[t] + d,) + s[t + 1:] for d in (1, -1))
+            assert reg.next_feasible[i][t] == position.get(up, -1)
+            assert reg.prev_feasible[i][t] == position.get(down, -1)
 
 
 def _zero_capacity_scenario():
